@@ -7,11 +7,15 @@ package core_test
 import (
 	"context"
 	"errors"
+	"reflect"
+	"sync"
 	"testing"
 	"time"
 
 	"github.com/flipper-mining/flipper/internal/core"
+	"github.com/flipper-mining/flipper/internal/datasets"
 	"github.com/flipper-mining/flipper/internal/experiments"
+	"github.com/flipper-mining/flipper/internal/itemset"
 	"github.com/flipper-mining/flipper/internal/measure"
 	"github.com/flipper-mining/flipper/internal/taxonomy"
 	"github.com/flipper-mining/flipper/internal/txdb"
@@ -79,6 +83,135 @@ func TestCancellationLatency(t *testing.T) {
 		return
 	}
 	t.Fatal("every workload finished before the cancel fired; latency was never measured")
+}
+
+// TestCancellationDuringPrep extends the latency promise to data
+// preparation: on GROCERIES-sim ×20, where building the level views and
+// deduplicating them is nearly the whole cold mine, a cancel fired 25ms in
+// must be observed within 100ms — unsharded and sharded. The abandoned
+// build must not be cached: a follow-up Mine on the same engine rebuilds
+// and finds the planted patterns.
+func TestCancellationDuringPrep(t *testing.T) {
+	if testing.Short() {
+		t.Skip("timing test")
+	}
+	const bound = 100 * time.Millisecond
+	measured := false
+	for _, scale := range []float64{20, 40} {
+		ds, err := datasets.Groceries(scale, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, shards := range []int{0, 2} {
+			cfg := ds.Config()
+			cfg.Shards = shards
+			eng := core.NewEngine(ds.DB, ds.Tree)
+			ctx, cancel := context.WithCancel(context.Background())
+			type outcome struct {
+				err     error
+				latency time.Duration
+			}
+			res := make(chan outcome, 1)
+			var cancelledAt time.Time
+			go func() {
+				_, err := eng.MineContext(ctx, cfg)
+				res <- outcome{err: err, latency: time.Since(cancelledAt)}
+			}()
+			time.Sleep(25 * time.Millisecond)
+			cancelledAt = time.Now()
+			cancel()
+			out := <-res
+			if out.err == nil {
+				continue // prep beat the cancel; try a larger database
+			}
+			measured = true
+			if !errors.Is(out.err, context.Canceled) {
+				t.Fatalf("×%v shards=%d: err = %v, want wrapped context.Canceled", scale, shards, out.err)
+			}
+			if out.latency > bound {
+				t.Fatalf("×%v shards=%d: prep took %s to observe cancellation, want < %s", scale, shards, out.latency, bound)
+			}
+			again, err := eng.Mine(cfg)
+			if err != nil {
+				t.Fatalf("×%v shards=%d: Mine after a cancelled prep: %v", scale, shards, err)
+			}
+			if len(again.Patterns) != len(ds.Expected) {
+				t.Fatalf("×%v shards=%d: Mine after a cancelled prep found %d patterns, want the %d planted",
+					scale, shards, len(again.Patterns), len(ds.Expected))
+			}
+		}
+		if measured {
+			return
+		}
+	}
+	t.Fatal("every prep finished before the cancel fired; latency was never measured")
+}
+
+// pausingSource pauses its first Scan after 2048 transactions until the
+// test releases it, so a test can cancel the run building an engine's
+// dataset state at a known point.
+type pausingSource struct {
+	*txdb.DB
+	paused, release chan struct{}
+	once            sync.Once
+}
+
+func (p *pausingSource) Scan(fn func(itemset.Set) error) error {
+	first := false
+	p.once.Do(func() { first = true })
+	seen := 0
+	return p.DB.Scan(func(tx itemset.Set) error {
+		if seen++; first && seen == 2048 {
+			close(p.paused)
+			<-p.release
+		}
+		return fn(tx)
+	})
+}
+
+// TestCancelledPrepSparesConcurrentRuns: runs sharing one engine wait on
+// the same dataset build. When the run building it is cancelled, the
+// others must not inherit the cancellation: one of them rebuilds, and all
+// of them return the result a fresh engine gives.
+func TestCancelledPrepSparesConcurrentRuns(t *testing.T) {
+	ds, err := datasets.Groceries(1, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := ds.Config()
+	want, err := core.Mine(ds.DB, ds.Tree, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := &pausingSource{DB: ds.DB, paused: make(chan struct{}), release: make(chan struct{})}
+	eng := core.NewEngine(src, ds.Tree)
+	ctx, cancel := context.WithCancel(context.Background())
+	builder := make(chan error, 1)
+	go func() {
+		_, err := eng.MineContext(ctx, cfg)
+		builder <- err
+	}()
+	<-src.paused // the builder now holds the build
+	waiters := make(chan error, 3)
+	for i := 0; i < cap(waiters); i++ {
+		go func() {
+			res, err := eng.Mine(cfg)
+			if err == nil && !reflect.DeepEqual(res.Patterns, want.Patterns) {
+				err = errors.New("patterns differ from a fresh engine's")
+			}
+			waiters <- err
+		}()
+	}
+	cancel()
+	close(src.release)
+	if err := <-builder; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled builder: err = %v, want wrapped context.Canceled", err)
+	}
+	for i := 0; i < cap(waiters); i++ {
+		if err := <-waiters; err != nil {
+			t.Fatalf("run waiting on the cancelled build: %v", err)
+		}
+	}
 }
 
 // TestMineContextPreCancelled pins the fast path: an already-cancelled

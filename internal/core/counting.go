@@ -253,7 +253,7 @@ func (m *miner) countScanStreaming(c *cell) {
 				buf = append(buf, a)
 			}
 		}
-		g := canonInto(buf)
+		g := itemset.Canon(buf)
 		filtered = st.Filter(g, filtered[:0])
 		if len(filtered) < c.k {
 			return nil

@@ -124,7 +124,7 @@ func (ds *dataState) streamSingleSupportsShards(tax *taxonomy.Tree, H, workers i
 						buf = append(buf, anc)
 					}
 				}
-				g := canonInto(buf)
+				g := itemset.Canon(buf)
 				if len(g) > a.widths[h] {
 					a.widths[h] = len(g)
 				}
@@ -221,7 +221,7 @@ func (m *miner) countScanStreamingShards(c *cell) {
 					buf = append(buf, a)
 				}
 			}
-			g := canonInto(buf)
+			g := itemset.Canon(buf)
 			filtered = st.Filter(g, filtered[:0])
 			if len(filtered) < c.k {
 				return nil

@@ -84,12 +84,14 @@ type dataKey struct {
 }
 
 // dataState is the dataset-derived state of one (materialize, shards)
-// representation. The base fields are built once under the sync.Once; the
-// tid lists and bitmap indexes build lazily under mu on first use by any
-// run and are then shared read-only.
+// representation. The base fields are built once under buildMu — a build
+// abandoned by a cancelled run leaves built unset, so the next run rebuilds
+// — and are read-only afterwards; the tid lists and bitmap indexes build
+// lazily under mu on first use by any run and are then shared read-only.
 type dataState struct {
-	once sync.Once
-	err  error
+	buildMu sync.Mutex
+	built   bool
+	err     error // the completed build's error, returned to every run
 
 	shards []txdb.Source // resolved shard sources; nil/len≤1 when unsharded
 
@@ -114,8 +116,10 @@ type dataState struct {
 func (ds *dataState) sharded() bool { return len(ds.shards) > 1 }
 
 // dataFor resolves (building at most once) the dataset state a run over cfg
-// needs.
-func (e *Engine) dataFor(cfg Config) (*dataState, error) {
+// needs. The build observes ctx: a cancelled build is reported as the
+// run's abort and not cached, so a later run — or a concurrent one that
+// was waiting on it — builds afresh instead of inheriting the cancellation.
+func (e *Engine) dataFor(ctx context.Context, cfg Config) (*dataState, error) {
 	shards := resolveShardSources(e.src, cfg.Shards)
 	key := dataKey{materialize: cfg.Materialize, shards: len(shards)}
 	e.mu.Lock()
@@ -125,14 +129,23 @@ func (e *Engine) dataFor(cfg Config) (*dataState, error) {
 		e.data[key] = ds
 	}
 	e.mu.Unlock()
-	ds.once.Do(func() { ds.err = ds.build(e.src, e.tree, cfg) })
+	ds.buildMu.Lock()
+	defer ds.buildMu.Unlock()
+	if !ds.built {
+		err := ds.build(ctx, e.src, e.tree, cfg)
+		if err != nil && ctx.Err() != nil {
+			return nil, fmt.Errorf("core: mine aborted: %w", ctx.Err())
+		}
+		ds.built, ds.err = true, err
+	}
 	return ds, ds.err
 }
 
 // build materializes level views (or streams one single-support pass) for
 // this representation. Parallelism of the build follows the triggering
-// run's configuration; the built state is identical either way.
-func (ds *dataState) build(src txdb.Source, tax *taxonomy.Tree, cfg Config) error {
+// run's configuration; the built state is identical either way. The
+// materializing scans and the per-level dedup observe ctx.
+func (ds *dataState) build(ctx context.Context, src txdb.Source, tax *taxonomy.Tree, cfg Config) error {
 	H := tax.Height()
 	ds.views = make([]*txdb.LevelView, H+1)
 	ds.distinct = make([][]txdb.WeightedTx, H+1)
@@ -150,15 +163,23 @@ func (ds *dataState) build(src txdb.Source, tax *taxonomy.Tree, cfg Config) erro
 	}
 	switch {
 	case cfg.Materialize && ds.sharded():
-		// Per-shard level views, built concurrently (a bounded worker pool
-		// over the shards, then another for dedup). The merged per-item
-		// supports and widths are exact integer aggregates of the shard
-		// views, so the level summaries the rest of the run reads are
-		// identical to the unsharded Materialize.
+		// Per-shard level views, all levels of a shard in one pass, built
+		// concurrently (a bounded worker pool over the shards, then another
+		// per level for dedup). The merged per-item supports and widths are
+		// exact integer aggregates of the shard views, so the level
+		// summaries the rest of the run reads are identical to the
+		// unsharded views.
+		shardViews, err := txdb.MaterializeShards(ctx, ds.shards, tax, boundWorkers(&cfg, len(ds.shards)))
+		if err != nil {
+			return err
+		}
 		for h := 1; h <= H; h++ {
-			views, err := txdb.MaterializeShards(ds.shards, tax, h, boundWorkers(&cfg, len(ds.shards)))
-			if err != nil {
+			if err := ctx.Err(); err != nil {
 				return err
+			}
+			views := make([]*txdb.LevelView, len(shardViews))
+			for s, levels := range shardViews {
+				views[s] = levels[h]
 			}
 			ds.shardLv[h] = views
 			dist := make([][]txdb.WeightedTx, len(views))
@@ -184,11 +205,15 @@ func (ds *dataState) build(src txdb.Source, tax *taxonomy.Tree, cfg Config) erro
 			ds.widths[h] = width
 		}
 	case cfg.Materialize:
+		views, err := txdb.MaterializeLevels(ctx, src, tax)
+		if err != nil {
+			return err
+		}
 		for h := 1; h <= H; h++ {
-			lv, err := txdb.Materialize(src, tax, h)
-			if err != nil {
+			if err := ctx.Err(); err != nil {
 				return err
 			}
+			lv := views[h]
 			ds.views[h] = lv
 			ds.distinct[h] = lv.Dedup()
 			ds.flat[h] = flatten(ds.distinct[h])
@@ -207,7 +232,11 @@ func (ds *dataState) build(src txdb.Source, tax *taxonomy.Tree, cfg Config) erro
 			ds.sup1[h] = make(map[itemset.ID]int64)
 		}
 		buf := make([]itemset.ID, 0, 32)
+		seen := 0
 		err := src.Scan(func(tx itemset.Set) error {
+			if seen++; seen&1023 == 0 && ctx.Err() != nil {
+				return ctx.Err()
+			}
 			for h := 1; h <= H; h++ {
 				buf = buf[:0]
 				for _, id := range tx {
@@ -215,7 +244,7 @@ func (ds *dataState) build(src txdb.Source, tax *taxonomy.Tree, cfg Config) erro
 						buf = append(buf, a)
 					}
 				}
-				g := canonInto(buf)
+				g := itemset.Canon(buf)
 				if len(g) > ds.widths[h] {
 					ds.widths[h] = len(g)
 				}
@@ -275,29 +304,13 @@ func flatten(dist []txdb.WeightedTx) flatLevel {
 	return f
 }
 
-// canonInto sorts and deduplicates buf in place and returns the canonical
-// prefix — itemset.New without the allocation, for scratch buffers the
-// caller owns.
-func canonInto(buf []itemset.ID) itemset.Set {
-	if len(buf) == 0 {
-		return nil
-	}
-	sortIDs(buf)
-	out := buf[:1]
-	for _, id := range buf[1:] {
-		if id != out[len(out)-1] {
-			out = append(out, id)
-		}
-	}
-	return itemset.Set(out)
-}
-
 // runScratch is the reusable per-run arena set. One run checks it out of
 // the engine pool for exclusive use; everything in it is either overwritten
 // or explicitly cleared before reuse.
 type runScratch struct {
 	cells    map[int][]*cell // retired cells by k, stores Reset and reusable
-	chains   []chainRec      // chain arena backing (records cleared at release)
+	chains   []chainRec      // chain arena backing
+	chainIDs []itemset.ID    // chain item arena backing
 	sups     []int64         // finishCell single-support scratch
 	partials [][]int64       // per-worker counting buffers, zeroed on checkout
 	vecs     [][]bitmap.Vector
@@ -436,10 +449,11 @@ func (m *miner) retireCell(c *cell) {
 }
 
 // chainRec is one link of a flipping chain in the miner's chain arena. When
-// an entry turns out alive, its level info is copied here (items cloned out
-// of the cell's arena), so pattern assembly never needs a freed row's slab.
+// an entry turns out alive, its level info is copied here (items into the
+// chain item arena, at chainIDs[lo:hi]), so pattern assembly never needs a
+// freed row's slab.
 type chainRec struct {
-	items  itemset.Set
+	lo, hi int32
 	sup    int64
 	corr   float64
 	label  Label
@@ -477,8 +491,10 @@ type miner struct {
 	rsetCol  []int                 // column the R set belongs to
 
 	// chains is the chain arena: one record per alive entry, linked upward
-	// by index. It is the only candidate state that outlives freeRow.
-	chains []chainRec
+	// by index, its items in chainIDs. It is the only candidate state that
+	// outlives freeRow.
+	chains   []chainRec
+	chainIDs []itemset.ID
 
 	stats Stats
 	maxK  int
@@ -549,10 +565,11 @@ var errCancelled = fmt.Errorf("core: run cancelled")
 // context.Background, which plain Mine uses) costs one nil check per poll
 // and the hot counting loops stay unaffected.
 //
-// Dataset-state builds (materialized views, lazily built indexes) are shared
-// across concurrent runs and therefore not cancellable: a run gives up
-// before and after binding, but never aborts a build another run may be
-// waiting on.
+// The dataset-state build (level views, dedup, single supports) observes
+// cancellation too: a run cancelled mid-build abandons it without caching
+// anything, and the next run on the engine — including one that was
+// waiting on the abandoned build — builds afresh. The lazily built counting
+// indexes, shared across concurrent runs, are not cancellable.
 func (e *Engine) MineContext(ctx context.Context, cfg Config) (*Result, error) {
 	return e.mineContext(ctx, cfg, nil)
 }
@@ -636,7 +653,11 @@ func (m *miner) init() error {
 // dataset state for its configuration, checks scratch out of the pool, and
 // computes the per-run level summaries and logical init accounting.
 func (m *miner) bind(e *Engine) error {
-	ds, err := e.dataFor(m.cfg)
+	ctx := m.ctx
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	ds, err := e.dataFor(ctx, m.cfg)
 	if err != nil {
 		return err
 	}
@@ -644,6 +665,7 @@ func (m *miner) bind(e *Engine) error {
 	m.ds = ds
 	m.sc = e.getScratch()
 	m.chains = m.sc.chains[:0]
+	m.chainIDs = m.sc.chainIDs[:0]
 
 	H := m.height
 	m.freq1 = make([]map[itemset.ID]int64, H+1)
@@ -711,8 +733,9 @@ func (m *miner) bind(e *Engine) error {
 
 // release retires every still-live cell into the scratch pool and returns
 // the scratch to the engine. Patterns never alias cell or chain storage —
-// chain records clone their items and collectBasic clones what it exports —
-// so the arenas are free for the next run the moment mining ends.
+// collect copies pattern items out of the chain item arena and collectBasic
+// clones what it exports — so the arenas are free for the next run the
+// moment mining ends.
 func (m *miner) release() {
 	for h := range m.rows {
 		for _, c := range m.rows[h] {
@@ -721,9 +744,8 @@ func (m *miner) release() {
 		m.rows[h] = nil
 	}
 	sc := m.sc
-	sc.chains = m.chains
-	clear(sc.chains) // drop references to the cloned chain itemsets
-	sc.chains = sc.chains[:0]
+	sc.chains = m.chains[:0]
+	sc.chainIDs = m.chainIDs[:0]
 	m.sc = nil
 	m.eng.putScratch(sc)
 }
@@ -869,8 +891,11 @@ func (m *miner) finishCell(c *cell) {
 			c.alive++
 			m.stats.AliveItemsets++
 			e.chain = int32(len(m.chains))
+			lo := int32(len(m.chainIDs))
+			m.chainIDs = append(m.chainIDs, items...)
 			m.chains = append(m.chains, chainRec{
-				items:  items.Clone(),
+				lo:     lo,
+				hi:     int32(len(m.chainIDs)),
 				sup:    sup,
 				corr:   e.corr,
 				label:  e.label,
@@ -904,33 +929,50 @@ func (m *miner) freeRow(h int) {
 	m.rows[h] = nil
 }
 
-// collect assembles patterns from alive entries of the leaf row.
+// collect assembles patterns from alive entries of the leaf row. Their
+// itemsets are copied out of the pooled chain item arena into one
+// allocation the result owns.
 func (m *miner) collect() []Pattern {
-	var out []Pattern
 	leafRow := m.rows[m.height]
 	if leafRow == nil {
 		return nil
 	}
+	var leaves []int32
+	size := 0
 	for _, c := range leafRow {
 		for i := range c.meta {
 			if !c.meta[i].alive {
 				continue
 			}
-			out = append(out, m.assemble(c.meta[i].chain))
+			leaves = append(leaves, c.meta[i].chain)
+			for cur := c.meta[i].chain; cur >= 0; cur = m.chains[cur].parent {
+				size += int(m.chains[cur].hi - m.chains[cur].lo)
+			}
 		}
+	}
+	if len(leaves) == 0 {
+		return nil
+	}
+	ids := make([]itemset.ID, 0, size)
+	out := make([]Pattern, 0, len(leaves))
+	for _, ci := range leaves {
+		out = append(out, m.assemble(ci, &ids))
 	}
 	return out
 }
 
-// assemble walks a leaf entry's chain-arena links into a Pattern.
-func (m *miner) assemble(ci int32) Pattern {
+// assemble walks a leaf entry's chain-arena links into a Pattern, copying
+// each link's items onto the end of ids.
+func (m *miner) assemble(ci int32, ids *[]itemset.ID) Pattern {
 	chain := make([]LevelInfo, m.height)
 	cur := ci
 	for h := m.height; h >= 1; h-- {
 		r := &m.chains[cur]
+		lo := len(*ids)
+		*ids = append(*ids, m.chainIDs[r.lo:r.hi]...)
 		chain[h-1] = LevelInfo{
 			Level:   h,
-			Items:   r.items,
+			Items:   itemset.Set((*ids)[lo:len(*ids):len(*ids)]),
 			Support: r.sup,
 			Corr:    r.corr,
 			Label:   r.label,

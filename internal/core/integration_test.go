@@ -149,34 +149,46 @@ func TestTruncatedTaxonomyQuery(t *testing.T) {
 	}
 }
 
-// failingSource fails every Scan after the first, simulating a disk source
-// that dies mid-run; Mine must surface the error, not partial results.
+// failingSource simulates a disk source that dies mid-run: every Scan after
+// the first okScans delivers half the transactions, then fails.
 type failingSource struct {
-	db    *txdb.DB
-	calls int
+	db      *txdb.DB
+	okScans int
+	calls   int
 }
 
 var errSentinel = errors.New("injected source failure")
 
 func (f *failingSource) Scan(fn func(tx itemset.Set) error) error {
 	f.calls++
-	if f.calls > 1 {
-		return errSentinel
+	if f.calls <= f.okScans {
+		return f.db.Scan(fn)
 	}
-	return f.db.Scan(fn)
+	for i := 0; i < f.db.Len()/2; i++ {
+		if err := fn(f.db.Tx(i)); err != nil {
+			return err
+		}
+	}
+	return errSentinel
 }
 func (f *failingSource) Len() int               { return f.db.Len() }
 func (f *failingSource) Dict() *dict.Dictionary { return f.db.Dict() }
 
+// TestErrorPropagationFromSource: Mine must surface a source failure, not
+// partial results — whether the source dies inside the one materializing
+// pass, or inside a later streaming counting pass.
 func TestErrorPropagationFromSource(t *testing.T) {
 	db, tree := paperToy(t)
-	src := &failingSource{db: db}
-	cfg := toyConfig()
-	if _, err := Mine(src, tree, cfg); err == nil {
-		t.Fatal("failing source did not surface an error")
-	}
-	if !errors.Is(errSentinel, errSentinel) {
-		t.Fatal("sentinel identity broken")
+	for _, materialize := range []bool{true, false} {
+		cfg := toyConfig()
+		cfg.Materialize = materialize
+		src := &failingSource{db: db}
+		if !materialize {
+			src.okScans = 1 // the single-support pass succeeds
+		}
+		if _, err := Mine(src, tree, cfg); !errors.Is(err, errSentinel) {
+			t.Fatalf("materialize=%v: err = %v, want the source failure", materialize, err)
+		}
 	}
 }
 

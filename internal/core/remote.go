@@ -121,7 +121,7 @@ func (e *Engine) ShardSupports(ctx context.Context, cfg Config, h int, cands []i
 	if _, err := cfg.validate(e.tree.Height(), e.src.Len()); err != nil {
 		return nil, err
 	}
-	ds, err := e.dataFor(cfg)
+	ds, err := e.dataFor(ctx, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -197,7 +197,7 @@ func streamCountShard(c *cell, src txdb.Source, e *Engine, done <-chan struct{})
 				buf = append(buf, a)
 			}
 		}
-		g := canonInto(buf)
+		g := itemset.Canon(buf)
 		filtered = st.Filter(g, filtered[:0])
 		if len(filtered) < c.k {
 			return nil

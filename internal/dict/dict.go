@@ -40,6 +40,13 @@ func (d *Dictionary) Lookup(name string) (int32, bool) {
 	return id, ok
 }
 
+// LookupBytes is Lookup for a name held as bytes; it does not allocate, so
+// text parsers can resolve names straight out of their read buffer.
+func (d *Dictionary) LookupBytes(name []byte) (int32, bool) {
+	id, ok := d.ids[string(name)]
+	return id, ok
+}
+
 // Name returns the name owning id. It panics when id was never assigned,
 // because that always indicates corrupted caller state rather than user input.
 func (d *Dictionary) Name(id int32) string {

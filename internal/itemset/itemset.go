@@ -25,21 +25,20 @@ type ID = int32
 type Set []ID
 
 // New builds a canonical Set from the given IDs, sorting and deduplicating.
-func New(ids ...ID) Set {
+func New(ids ...ID) Set { return Canon(slices.Clone(ids)) }
+
+// Canon sorts and deduplicates ids in place and returns the canonical prefix
+// (nil when empty): New without the copy, for buffers the caller owns.
+// Already-sorted input, the common case for generalized transactions, skips
+// the sort.
+func Canon(ids []ID) Set {
 	if len(ids) == 0 {
 		return nil
 	}
-	s := make(Set, len(ids))
-	copy(s, ids)
-	slices.Sort(s)
-	// Deduplicate in place.
-	out := s[:1]
-	for _, id := range s[1:] {
-		if id != out[len(out)-1] {
-			out = append(out, id)
-		}
+	if !slices.IsSorted(ids) {
+		slices.Sort(ids)
 	}
-	return out
+	return Set(slices.Compact(ids))
 }
 
 // FromSorted wraps ids as a Set without copying. The caller asserts that ids

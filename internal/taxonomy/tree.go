@@ -303,6 +303,17 @@ func (t *Tree) AncestorAt(id itemset.ID, h int) (itemset.ID, bool) {
 	return a, true
 }
 
+// Ancestors returns every generalization of id in one lookup, indexed by
+// level: entry h is AncestorAt(id, h), or NoParent where that reports
+// false; entry 0 is unused. It returns nil when id is not in the tree. The
+// slice is owned by the tree — read only.
+func (t *Tree) Ancestors(id itemset.ID) []itemset.ID {
+	if !t.Contains(id) {
+		return nil
+	}
+	return t.anc[id]
+}
+
 // RootOf returns the level-1 ancestor of id.
 func (t *Tree) RootOf(id itemset.ID) itemset.ID {
 	a, _ := t.AncestorAt(id, 1)

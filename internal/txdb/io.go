@@ -2,8 +2,10 @@ package txdb
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 
 	"github.com/flipper-mining/flipper/internal/dict"
@@ -15,38 +17,94 @@ import (
 // empty transactions unless they are comments ('#' prefix); a lone "-"
 // denotes an explicitly empty transaction for round-trip fidelity.
 
-// ReadBaskets parses the basket format from r into an in-memory DB, writing
-// IDs through d (nil for a fresh dictionary).
-func ReadBaskets(r io.Reader, d *dict.Dictionary) (*DB, error) {
-	db := New(d)
+// basketParser is the one reader of the basket format, shared by
+// ReadBaskets and FileSource.Scan. It works on the scanner's byte buffer:
+// lines and names are trimmed and split in place and names resolve through
+// the dictionary without a string allocation, so a parsed line costs no
+// allocation unless it introduces a new name.
+type basketParser struct {
+	sc     *bufio.Scanner
+	dict   *dict.Dictionary
+	assign bool // give unseen names fresh IDs; otherwise they are an error
+	line   int  // 1-based number of the last line read, for errors
+	ids    []itemset.ID
+}
+
+func newBasketParser(r io.Reader, d *dict.Dictionary, assign bool) *basketParser {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 64*1024*1024)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if strings.HasPrefix(line, "#") {
+	return &basketParser{sc: sc, dict: d, assign: assign, ids: make([]itemset.ID, 0, 32)}
+}
+
+// next parses the next transaction and returns its canonical item IDs,
+// valid until the following call; ok is false at the end of the input.
+// Format errors name the offending line.
+func (p *basketParser) next() (tx itemset.Set, ok bool, err error) {
+	for p.sc.Scan() {
+		p.line++
+		line := bytes.TrimSpace(p.sc.Bytes())
+		if len(line) > 0 && line[0] == '#' {
 			continue
 		}
-		if line == "" || line == "-" {
-			db.Add()
-			continue
+		if len(line) == 0 || (len(line) == 1 && line[0] == '-') {
+			return nil, true, nil
 		}
-		parts := strings.Split(line, ",")
-		ids := make([]itemset.ID, 0, len(parts))
-		for _, p := range parts {
-			name := strings.TrimSpace(p)
-			if name == "" {
-				return nil, fmt.Errorf("txdb: line %d: empty item name", lineNo)
+		p.ids = p.ids[:0]
+		for {
+			field := line
+			comma := bytes.IndexByte(line, ',')
+			if comma >= 0 {
+				field = line[:comma]
 			}
-			ids = append(ids, db.dict.ID(name))
+			name := bytes.TrimSpace(field)
+			if len(name) == 0 {
+				return nil, false, fmt.Errorf("line %d: empty item name", p.line)
+			}
+			id, known := p.dict.LookupBytes(name)
+			if !known {
+				if !p.assign {
+					return nil, false, fmt.Errorf("line %d: item %q appeared after the first pass", p.line, name)
+				}
+				id = p.dict.ID(string(name))
+			}
+			p.ids = append(p.ids, id)
+			if comma < 0 {
+				break
+			}
+			line = line[comma+1:]
 		}
-		db.Add(ids...)
+		return itemset.Canon(p.ids), true, nil
 	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("txdb: read: %w", err)
+	if err := p.sc.Err(); err != nil {
+		return nil, false, fmt.Errorf("read: %w", err)
 	}
-	return db, nil
+	return nil, false, nil
+}
+
+// ReadBaskets parses the basket format from r into an in-memory DB, writing
+// IDs through d (nil for a fresh dictionary). Transactions are stored in a
+// chunked arena, so loading costs one allocation per arenaChunk items
+// rather than one per line.
+func ReadBaskets(r io.Reader, d *dict.Dictionary) (*DB, error) {
+	db := New(d)
+	p := newBasketParser(r, db.dict, true)
+	var arena idArena
+	for {
+		tx, ok, err := p.next()
+		if err != nil {
+			return nil, fmt.Errorf("txdb: %w", err)
+		}
+		if !ok {
+			return db, nil
+		}
+		if len(db.tx) == cap(db.tx) {
+			// Double rather than append's gentler growth: the header slice
+			// is the one per-transaction structure, and each regrowth
+			// copies all of it.
+			db.tx = slices.Grow(db.tx, len(db.tx)+1)
+		}
+		db.tx = append(db.tx, arena.add(tx))
+	}
 }
 
 // WriteBaskets serializes the database in the basket format. Item names
@@ -154,40 +212,20 @@ func (fs *FileSource) Scan(fn func(tx itemset.Set) error) error {
 		return fmt.Errorf("txdb: %w", err)
 	}
 	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 64*1024*1024)
+	p := newBasketParser(f, fs.dict, !fs.init)
 	count := 0
-	var ids []itemset.ID
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if strings.HasPrefix(line, "#") {
-			continue
+	for {
+		tx, ok, err := p.next()
+		if err != nil {
+			return fmt.Errorf("txdb: %s: %w", fs.path, err)
 		}
-		ids = ids[:0]
-		if line != "" && line != "-" {
-			for _, p := range strings.Split(line, ",") {
-				name := strings.TrimSpace(p)
-				if name == "" {
-					return fmt.Errorf("txdb: %s: empty item name", fs.path)
-				}
-				if fs.init {
-					id, ok := fs.dict.Lookup(name)
-					if !ok {
-						return fmt.Errorf("txdb: %s: item %q appeared after the first pass", fs.path, name)
-					}
-					ids = append(ids, id)
-				} else {
-					ids = append(ids, fs.dict.ID(name))
-				}
-			}
+		if !ok {
+			break
 		}
 		count++
-		if err := fn(itemset.New(ids...)); err != nil {
+		if err := fn(tx); err != nil {
 			return err
 		}
-	}
-	if err := sc.Err(); err != nil {
-		return fmt.Errorf("txdb: read: %w", err)
 	}
 	if !fs.init {
 		fs.n = count

@@ -1,6 +1,7 @@
 package txdb
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -227,16 +228,17 @@ func ForEachShard(workers, n int, body func(w, s int)) {
 	wg.Wait()
 }
 
-// MaterializeShards builds the level-h view of every shard concurrently
-// over a pool of at most `workers` goroutines (the caller's parallelism
-// budget). The returned views are indexed by shard; their per-item
-// supports sum — and their MaxWidths max — to exactly the values of the
-// unsharded Materialize, because generalization is per-transaction.
-func MaterializeShards(shards []Source, tree *taxonomy.Tree, h, workers int) ([]*LevelView, error) {
-	views := make([]*LevelView, len(shards))
+// MaterializeShards builds the views of every shard at every level
+// concurrently — MaterializeLevels per shard over a pool of at most
+// `workers` goroutines (the caller's parallelism budget). The result is
+// indexed [shard][level]; per level, the shards' per-item supports sum —
+// and their MaxWidths max — to exactly the values of the unsharded views,
+// because generalization is per-transaction.
+func MaterializeShards(ctx context.Context, shards []Source, tree *taxonomy.Tree, workers int) ([][]*LevelView, error) {
+	views := make([][]*LevelView, len(shards))
 	errs := make([]error, len(shards))
 	ForEachShard(workers, len(shards), func(_, s int) {
-		views[s], errs[s] = Materialize(shards[s], tree, h)
+		views[s], errs[s] = MaterializeLevels(ctx, shards[s], tree)
 	})
 	for _, err := range errs {
 		if err != nil {

@@ -1,6 +1,7 @@
 package txdb
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"os"
@@ -203,19 +204,20 @@ func TestMaterializeShardsMergesToUnsharded(t *testing.T) {
 		}
 		db.AddNames(names...)
 	}
+	ss := PartitionSource(db, 4)
+	shardViews, err := MaterializeShards(context.Background(), ss.Shards(), tree, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for h := 1; h <= tree.Height(); h++ {
 		whole, err := Materialize(db, tree, h)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ss := PartitionSource(db, 4)
-		views, err := MaterializeShards(ss.Shards(), tree, h, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
 		merged := make(map[itemset.ID]int64)
 		maxWidth, total := 0, 0
-		for _, v := range views {
+		for _, levels := range shardViews {
+			v := levels[h]
 			total += len(v.Tx)
 			if v.MaxWidth > maxWidth {
 				maxWidth = v.MaxWidth

@@ -11,7 +11,10 @@
 package txdb
 
 import (
+	"cmp"
+	"context"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"slices"
 
@@ -172,29 +175,117 @@ func Materialize(src Source, tree *taxonomy.Tree, h int) (*LevelView, error) {
 	if h < 1 || h > tree.Height() {
 		return nil, fmt.Errorf("txdb: level %d out of range 1..%d", h, tree.Height())
 	}
-	lv := &LevelView{Level: h, Support: make(map[itemset.ID]int64)}
-	buf := make([]itemset.ID, 0, 32)
+	views, err := materialize(context.Background(), src, tree, h, h)
+	if err != nil {
+		return nil, err
+	}
+	return views[h], nil
+}
+
+// MaterializeLevels builds the views of src at every level 1..Height of
+// tree in one pass over the transactions, returned indexed by level (entry
+// 0 is nil). Each view equals Materialize's. The pass observes ctx every
+// 1024 transactions and returns ctx.Err() once it is cancelled.
+func MaterializeLevels(ctx context.Context, src Source, tree *taxonomy.Tree) ([]*LevelView, error) {
+	return materialize(ctx, src, tree, 1, tree.Height())
+}
+
+// materialize builds the views of levels lo..hi in one scan. Generalized
+// transactions are carved out of per-level chunked arenas behind presized
+// row slices, and supports are counted in dense per-level arrays indexed by
+// item ID (every ancestor is a node of tree, so its ID is below the tree
+// dictionary's size) that become the Support maps once, at the end.
+func materialize(ctx context.Context, src Source, tree *taxonomy.Tree, lo, hi int) ([]*LevelView, error) {
+	type level struct {
+		arena idArena
+		buf   []itemset.ID
+		sup   []int64
+	}
+	views := make([]*LevelView, hi+1)
+	levels := make([]level, hi+1)
+	items := tree.Dict().Len()
+	for h := lo; h <= hi; h++ {
+		views[h] = &LevelView{Level: h, Tx: make([]itemset.Set, 0, src.Len())}
+		levels[h] = level{buf: make([]itemset.ID, 0, 32), sup: make([]int64, items)}
+	}
+	seen := 0
 	err := src.Scan(func(tx itemset.Set) error {
-		buf = buf[:0]
+		if seen++; seen&1023 == 0 && ctx.Err() != nil {
+			return ctx.Err()
+		}
 		for _, id := range tx {
-			if a, ok := tree.AncestorAt(id, h); ok {
-				buf = append(buf, a)
+			anc := tree.Ancestors(id)
+			if anc == nil {
+				continue
+			}
+			for h := lo; h <= hi; h++ {
+				if a := anc[h]; a != taxonomy.NoParent {
+					levels[h].buf = append(levels[h].buf, a)
+				}
 			}
 		}
-		g := itemset.New(buf...)
-		lv.Tx = append(lv.Tx, g)
-		if len(g) > lv.MaxWidth {
-			lv.MaxWidth = len(g)
-		}
-		for _, id := range g {
-			lv.Support[id]++
+		for h := lo; h <= hi; h++ {
+			lv, l := views[h], &levels[h]
+			g := l.arena.add(itemset.Canon(l.buf))
+			l.buf = l.buf[:0]
+			lv.Tx = append(lv.Tx, g)
+			if len(g) > lv.MaxWidth {
+				lv.MaxWidth = len(g)
+			}
+			for _, id := range g {
+				l.sup[id]++
+			}
 		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return lv, nil
+	for h := lo; h <= hi; h++ {
+		views[h].Support = supportMap(levels[h].sup)
+	}
+	return views, nil
+}
+
+// supportMap converts dense per-ID counts into the sparse Support map.
+func supportMap(counts []int64) map[itemset.ID]int64 {
+	n := 0
+	for _, c := range counts {
+		if c > 0 {
+			n++
+		}
+	}
+	m := make(map[itemset.ID]int64, n)
+	for id, c := range counts {
+		if c > 0 {
+			m[itemset.ID(id)] = c
+		}
+	}
+	return m
+}
+
+// arenaChunk is the item capacity of one idArena chunk: 32 KiB, the largest
+// small-object size class, so a half-used last chunk wastes little.
+const arenaChunk = 1 << 13
+
+// idArena stores many small itemsets in a few large chunks: storing n
+// transactions costs one allocation per arenaChunk items instead of one per
+// transaction, and leaves the garbage collector a handful of objects to
+// scan rather than n.
+type idArena struct{ buf []itemset.ID }
+
+// add copies s into the arena and returns the copy, capped so that an
+// append to it can never overwrite a neighbour. The empty set stays nil.
+func (a *idArena) add(s itemset.Set) itemset.Set {
+	if len(s) == 0 {
+		return nil
+	}
+	if cap(a.buf)-len(a.buf) < len(s) {
+		a.buf = make([]itemset.ID, 0, max(arenaChunk, len(s)))
+	}
+	lo := len(a.buf)
+	a.buf = append(a.buf, s...)
+	return itemset.Set(a.buf[lo:len(a.buf):len(a.buf)])
 }
 
 // WeightedTx is a distinct transaction with its multiplicity. Generalizing
@@ -208,25 +299,117 @@ type WeightedTx struct {
 
 // Dedup merges identical transactions of the view into weighted ones,
 // ordered deterministically in lexicographic itemset order (the same order
-// the former key-string sort produced). Sorting references and merging
-// adjacent runs avoids the per-transaction key allocations of the old
-// map[string] implementation — this runs once per level on every mine.
-func (lv *LevelView) Dedup() []WeightedTx {
-	if len(lv.Tx) == 0 {
+// the former key-string sort produced). Rows are grouped through an
+// open-addressing table keyed by a hash of their IDs, with Equal settling
+// hash collisions, so only the distinct rows — a small fraction of the
+// view at the upper levels — are sorted, by integer keys packing their
+// leading items.
+func (lv *LevelView) Dedup() []WeightedTx { return dedup(lv.Tx, hashSet) }
+
+// group is one distinct row while dedup runs: the index of its first
+// occurrence and its count so far, plus a word that holds the row's hash
+// while rows are grouped and its sort key once they are.
+type group struct {
+	word        uint64
+	row, weight int32
+}
+
+// dedup is Dedup over rows with the row hash as a parameter, so tests can
+// force hash collisions between unequal rows.
+func dedup(rows []itemset.Set, hash func(itemset.Set) uint64) []WeightedTx {
+	if len(rows) == 0 {
 		return nil
 	}
-	sorted := make([]itemset.Set, len(lv.Tx))
-	copy(sorted, lv.Tx)
-	slices.SortFunc(sorted, itemset.Compare)
-	out := make([]WeightedTx, 0, len(sorted))
-	for _, tx := range sorted {
-		if n := len(out); n > 0 && out[n-1].Items.Equal(tx) {
-			out[n-1].Weight++
-			continue
+	var groups []group
+	var maxID itemset.ID
+	table := make([]int32, 1024) // 1 + index into groups; 0 marks an empty slot
+	for r, tx := range rows {
+		hv := hash(tx)
+		mask := uint64(len(table) - 1)
+		for i := hv & mask; ; i = (i + 1) & mask {
+			g := table[i] - 1
+			if g < 0 {
+				table[i] = int32(len(groups)) + 1
+				groups = append(groups, group{word: hv, row: int32(r), weight: 1})
+				if len(tx) > 0 {
+					maxID = max(maxID, tx[len(tx)-1])
+				}
+				if 2*len(groups) > len(table) {
+					table = rehash(groups, 2*len(table))
+				}
+				break
+			}
+			if groups[g].word == hv && rows[groups[g].row].Equal(tx) {
+				groups[g].weight++
+				break
+			}
 		}
-		out = append(out, WeightedTx{Items: tx, Weight: 1})
+	}
+	setSortKeys(groups, rows, maxID)
+	slices.SortFunc(groups, func(a, b group) int {
+		if a.word != b.word {
+			return cmp.Compare(a.word, b.word)
+		}
+		return itemset.Compare(rows[a.row], rows[b.row])
+	})
+	out := make([]WeightedTx, len(groups))
+	for i, g := range groups {
+		out[i] = WeightedTx{Items: rows[g.row], Weight: int64(g.weight)}
 	}
 	return out
+}
+
+// rehash rebuilds the dedup table at size slots (a power of two) from the
+// groups' hashes; groups keep their indexes.
+func rehash(groups []group, size int) []int32 {
+	table := make([]int32, size)
+	mask := uint64(size - 1)
+	for g := range groups {
+		i := groups[g].word & mask
+		for table[i] != 0 {
+			i = (i + 1) & mask
+		}
+		table[i] = int32(g) + 1
+	}
+	return table
+}
+
+// setSortKeys replaces every group's hash with a key packing its row's
+// leading items, each offset by one so that a missing item orders first,
+// in the fewest bits that hold maxID+1. Key order agrees with
+// itemset.Compare wherever keys differ; equal keys mean equal leading
+// items. With a small item universe the key covers the widest row and no
+// tie remains.
+func setSortKeys(groups []group, rows []itemset.Set, maxID itemset.ID) {
+	width := bits.Len32(uint32(maxID) + 1)
+	for i := range groups {
+		var key uint64
+		shift := 64
+		for _, id := range rows[groups[i].row] {
+			if shift -= width; shift < 0 {
+				break
+			}
+			key |= uint64(uint32(id)+1) << shift
+		}
+		groups[i].word = key
+	}
+}
+
+// hashSet is a 64-bit hash of an itemset's IDs (multiply-xorshift per
+// item, murmur3's finalizer at the end), so the low bits the dedup table
+// masks with depend on every item.
+func hashSet(s itemset.Set) uint64 {
+	h := uint64(len(s))
+	for _, id := range s {
+		h = (h ^ uint64(uint32(id))) * 0x9e3779b97f4a7c15
+		h ^= h >> 32
+	}
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	h *= 0xc4ceb9fe1a85ec53
+	h ^= h >> 33
+	return h
 }
 
 // SupportOf returns the level view's support for an itemset by scanning the
