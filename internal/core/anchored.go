@@ -396,20 +396,17 @@ func (a *anchoredSearch) boundAt(items itemset.Set, h int) sketch.Bound {
 	return lv.Bound(items)
 }
 
-// exactSupport is the fallback exact count: a k-way tid-list intersection,
-// summed over shards when the representation is sharded.
+// exactSupport is the fallback exact count: a k-way tid-list intersection
+// per shard, summed.
 func (a *anchoredSearch) exactSupport(items itemset.Set, h int) int64 {
 	m := a.m
 	m.stats.ExactFallbacks++
 	m.stats.CandidatesCounted++
-	if m.sharded() {
-		var sup int64
-		for _, lists := range m.shardTIDLists(h) {
-			sup += intersectSupport(items, lists, &a.scr)
-		}
-		return sup
+	var sup int64
+	for _, l := range m.tidLists(h) {
+		sup += intersectSupport(items, l.tid, &a.scr)
 	}
-	return intersectSupport(items, m.tidLists(h), &a.scr)
+	return sup
 }
 
 // corrAt computes the exact correlation of items at level h given their

@@ -214,6 +214,77 @@ func TestCancelledPrepSparesConcurrentRuns(t *testing.T) {
 	}
 }
 
+// cancellingSource cancels the run at the 2048th transaction of its first
+// Scan and counts how many more transactions the scan callback accepts
+// after that one — the work a cancelled pass fails to skip.
+type cancellingSource struct {
+	txdb.Source
+	cancel   context.CancelFunc
+	once     sync.Once
+	accepted int
+}
+
+func (c *cancellingSource) Scan(fn func(itemset.Set) error) error {
+	first := false
+	c.once.Do(func() { first = true })
+	if !first {
+		return c.Source.Scan(fn)
+	}
+	seen := 0
+	return c.Source.Scan(func(tx itemset.Set) error {
+		if seen++; seen == 2048 {
+			c.cancel()
+		}
+		err := fn(tx)
+		if err == nil && seen > 2048 {
+			c.accepted++
+		}
+		return err
+	})
+}
+
+// TestStreamingPrepObservesCancellation pins the streaming init pass's
+// cancellation polls deterministically: cancelled at a known transaction,
+// the single-support pass must stop within one 1024-transaction poll
+// interval, unsharded and with the cancelling source as shard 0 of two.
+func TestStreamingPrepObservesCancellation(t *testing.T) {
+	ds, err := datasets.Groceries(2, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, shards := range []int{1, 2} {
+		ctx, cancel := context.WithCancel(context.Background())
+		var src txdb.Source
+		var wrapped *cancellingSource
+		if shards == 1 {
+			wrapped = &cancellingSource{Source: ds.DB, cancel: cancel}
+			src = wrapped
+		} else {
+			parts := txdb.Partition(ds.DB, shards)
+			wrapped = &cancellingSource{Source: parts[0], cancel: cancel}
+			rest := []txdb.Source{wrapped}
+			for _, p := range parts[1:] {
+				rest = append(rest, p)
+			}
+			ss, err := txdb.NewSharded(rest...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			src = ss
+		}
+		cfg := ds.Config()
+		cfg.Materialize = false
+		_, err := core.NewEngine(src, ds.Tree).MineContext(ctx, cfg)
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("shards=%d: err = %v, want wrapped context.Canceled", shards, err)
+		}
+		if wrapped.accepted >= 1024 {
+			t.Fatalf("shards=%d: the init pass accepted %d transactions after the cancel, want < 1024", shards, wrapped.accepted)
+		}
+	}
+}
+
 // TestMineContextPreCancelled pins the fast path: an already-cancelled
 // context aborts before any data preparation.
 func TestMineContextPreCancelled(t *testing.T) {

@@ -1,10 +1,12 @@
 package core
 
 import (
-	"sync"
+	"time"
 
 	"github.com/flipper-mining/flipper/internal/bitmap"
 	"github.com/flipper-mining/flipper/internal/itemset"
+	"github.com/flipper-mining/flipper/internal/taxonomy"
+	"github.com/flipper-mining/flipper/internal/txdb"
 )
 
 // count fills in the support of every candidate in the cell with one pass
@@ -26,34 +28,15 @@ func (m *miner) count(c *cell) {
 	if strategy == CountAuto {
 		strategy = m.chooseStrategy(c)
 	}
-	if m.sharded() {
-		// Shard-parallel variants: a bounded worker pool over the shards,
-		// partial support vectors summed into the slab (counting_shard.go).
-		switch strategy {
-		case CountTIDList:
-			m.countTIDShards(c)
-		case CountBitmap:
-			m.countBitmapShards(c)
-		default:
-			if m.cfg.Materialize {
-				m.countScanShards(c)
-			} else {
-				m.countScanStreamingShards(c)
-			}
-		}
-		return
-	}
-	switch strategy {
-	case CountTIDList:
+	switch {
+	case !m.cfg.Materialize:
+		m.countStreaming(c)
+	case strategy == CountTIDList:
 		m.countTID(c)
-	case CountBitmap:
+	case strategy == CountBitmap:
 		m.countBitmap(c)
 	default:
-		if m.cfg.Materialize {
-			m.countScanMaterialized(c)
-		} else {
-			m.countScanStreaming(c)
-		}
+		m.countScan(c)
 	}
 }
 
@@ -81,37 +64,37 @@ const scanProbeWeight = 2.5
 // candidate count meets a dense level — many probes amortizing the
 // fixed-width vectors.
 //
-// Sharding enters the model in two places. The per-candidate merge of S
-// partial vectors costs the same S additions for every backend, so it
-// cancels out of the comparison and is omitted. Bitmap vectors, however,
-// round up to whole words per shard instead of once per level, so S shards
-// pay up to S−1 extra words per candidate AND (and per item at build time);
-// the distinct-transaction count is likewise the per-shard sum, which
-// already reflects the dedup lost at shard boundaries.
+// Sharding enters the model in two places. The per-candidate merge of
+// partial vectors costs every backend the same additions, so it cancels out
+// of the comparison and is omitted. Bitmap vectors, however, round up to
+// whole words per shard instead of once per level, so S shards pay up to
+// S−1 extra words per candidate AND (and per item at build time); the
+// distinct-transaction count is likewise the per-shard sum, which already
+// reflects the dedup lost at shard boundaries.
 //
 // The build term follows the run's logical build flags (m.bmBuilt), not the
 // engine cache: a warm run prices — and therefore chooses — exactly as the
 // cold run did, which is what keeps reused-engine output byte-identical.
 func (m *miner) chooseStrategy(c *cell) CountStrategy {
-	view := m.ds.views[c.h]
-	items := len(view.Support)
+	sup1 := m.ds.sup1[c.h]
+	items := len(sup1)
 	if items == 0 {
 		return CountScan
 	}
 	var volume int64
-	for _, sup := range view.Support {
+	for _, sup := range sup1 {
 		volume += sup
 	}
-	distinct := m.distinctCount(c.h)
+	distinct := 0
+	for s := range m.ds.levels[c.h] {
+		distinct += m.ds.levels[c.h][s].flat.n()
+	}
 	// Materialized views hold one generalized transaction per raw one, so
 	// the level's transaction count is m.n regardless of sharding.
 	avgWidth := float64(volume) / float64(m.n)
 	scanCost := scanProbeWeight * float64(distinct) * float64(itemset.Binomial(int(avgWidth+1), c.k))
 	tidCost := float64(c.candidates) * float64(c.k) * float64(volume) / float64(items)
-	words := float64(bitmap.Words(distinct))
-	if m.sharded() {
-		words += float64(len(m.ds.shards) - 1) // per-shard word rounding
-	}
+	words := float64(bitmap.Words(distinct) + len(m.ds.shards) - 1) // per-shard word rounding
 	bitCost := float64(c.candidates) * float64(c.k) * words
 	if !m.bmBuilt[c.h] {
 		bitCost += float64(items) * words // the build pass, paid once per run
@@ -124,6 +107,86 @@ func (m *miner) chooseStrategy(c *cell) CountStrategy {
 		best = CountBitmap
 	}
 	return best
+}
+
+// fanOut runs one counting pass of cell c as work units over a bounded
+// worker pool. Each of the S shards splits into per units — unit i is part
+// i%per of shard i/per — and min(cfg.workers(), S·per) workers take the
+// units round-robin (txdb.ForEachShard), each summing into its own pooled
+// partial support vector; mergePartials then folds the partials into the
+// cell's slab. A lone worker sums straight into the slab. With
+// per = ⌈W/S⌉ this one rule is a range fan-out over the whole database
+// when S = 1 and a one-shard-per-worker pool when S ≥ W. A transaction
+// lives in exactly one shard, the units of a shard split its transactions
+// or its candidates disjointly, and the merge is plain int64 addition, so
+// the totals cannot depend on the split — TestShardedMiningEquivalence pins
+// patterns and stats across shard counts and parallelism.
+//
+// unit returns a counter the pass reports (probes pruned, word ops) and an
+// error; fanOut returns the counters' sum and the first error, after which
+// a worker skips its remaining units.
+func (m *miner) fanOut(c *cell, per int, unit func(w, s, part int, counts []int64) (int64, error)) (int64, error) {
+	units := len(m.ds.shards) * per
+	workers := boundWorkers(&m.cfg, units)
+	var partials [][]int64
+	if workers == 1 {
+		partials = [][]int64{c.store.Sup}
+	} else {
+		partials = m.sc.partialsFor(workers, c.store.Len())
+	}
+	sums := make([]int64, workers)
+	errs := make([]error, workers)
+	txdb.ForEachShard(workers, units, func(w, i int) {
+		if errs[w] != nil {
+			return
+		}
+		var n int64
+		n, errs[w] = unit(w, i/per, i%per, partials[w])
+		sums[w] += n
+	})
+	if workers > 1 {
+		m.mergePartials(c, partials)
+	}
+	var total int64
+	var err error
+	for w := range sums {
+		total += sums[w]
+		if err == nil {
+			err = errs[w]
+		}
+	}
+	return total, err
+}
+
+// unitsPerShard is the ⌈W/S⌉ split of the materialized backends: enough
+// units per shard that every one of the W workers has work even when there
+// are fewer shards than workers.
+func (m *miner) unitsPerShard() int {
+	s := len(m.ds.shards)
+	return (m.cfg.workers() + s - 1) / s
+}
+
+// span returns range part of per near-equal ranges over [0, n), their
+// bounds rounded up to multiples of align.
+func span(n, per, part, align int) (lo, hi int) {
+	chunk := (n + per - 1) / per
+	chunk = (chunk + align - 1) / align * align
+	lo = min(part*chunk, n)
+	return lo, min(lo+chunk, n)
+}
+
+// mergePartials folds the per-worker partial support vectors into the
+// cell's slab. The time spent here is the serial fraction of parallel
+// counting and is surfaced as Stats.ShardMergeNs.
+func (m *miner) mergePartials(c *cell, partials [][]int64) {
+	start := time.Now()
+	sup := c.store.Sup
+	for _, counts := range partials {
+		for i, n := range counts {
+			sup[i] += n
+		}
+	}
+	m.stats.ShardMergeNs += time.Since(start).Nanoseconds()
 }
 
 // scanTxs counts the flat arena's transactions [lo, hi) into counts by trie
@@ -148,20 +211,21 @@ func scanTxs(c *cell, f *flatLevel, lo, hi int, counts []int64, filtered itemset
 	return pruned, filtered
 }
 
-// scanTxsCheckpointed walks [lo, hi) through scanTxs one scanBlock at a
-// time, polling the run's cancellation channel between blocks — the scan
-// kernel itself stays checkpoint-free, so a cancelled run abandons the pass
-// within one block of work while the hot loop is untouched.
-func scanTxsCheckpointed(c *cell, f *flatLevel, lo, hi int, counts []int64, done <-chan struct{}) (pruned int64) {
+// scanUnit is one work unit of the scan backend: range part of per
+// scanBlock-aligned transaction ranges of a shard's flat arena, walked
+// through scanTxs one block at a time while polling the run's cancellation
+// channel between blocks — the scan kernel itself stays checkpoint-free, so
+// a cancelled run abandons the pass within one block of work while the hot
+// loop is untouched. Engine.ShardSupports counts a whole shard as unit 0
+// of 1.
+func scanUnit(c *cell, f *flatLevel, part, per int, counts []int64, done <-chan struct{}) (pruned int64) {
+	lo, hi := span(f.n(), per, part, scanBlock)
 	var filtered itemset.Set
 	for lo < hi {
 		if canceled(done) {
 			return pruned
 		}
-		end := lo + scanBlock
-		if end > hi {
-			end = hi
-		}
+		end := min(lo+scanBlock, hi)
 		var p int64
 		p, filtered = scanTxs(c, f, lo, end, counts, filtered)
 		pruned += p
@@ -176,85 +240,64 @@ func scanTxsCheckpointed(c *cell, f *flatLevel, lo, hi int, counts []int64, done
 // larger (a k-way list intersection or k vector ANDs).
 const cancelCheckMask = 255
 
-// scanBlock is the transaction-block granularity of parallel scan
-// splitting: worker ranges align to it, so no two workers interleave inside
-// one block of the arena.
+// scanBlock is the transaction-block granularity of scan units: their
+// ranges align to it, so no two workers interleave inside one block of an
+// arena.
 const scanBlock = 512
 
-// countScanMaterialized counts over the level's flat transaction arena,
-// fanning block-aligned ranges out to cfg.workers() goroutines.
-func (m *miner) countScanMaterialized(c *cell) {
-	f := &m.ds.flat[c.h]
-	n := f.n()
-	workers := m.cfg.workers()
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		m.stats.ProbesPruned += scanTxsCheckpointed(c, f, 0, n, c.store.Sup, m.done)
-		return
-	}
-	chunk := (n + workers - 1) / workers
-	chunk = (chunk + scanBlock - 1) / scanBlock * scanBlock
-	partials := m.sc.partialsFor(workers, c.store.Len())
-	pruned := make([]int64, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			pruned[w] = scanTxsCheckpointed(c, f, lo, hi, partials[w], m.done)
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	sup := c.store.Sup
-	for _, counts := range partials {
-		for i, n := range counts {
-			sup[i] += n
-		}
-	}
-	for _, n := range pruned {
-		m.stats.ProbesPruned += n
-	}
+// countScan counts over the level's flat transaction arenas, each shard's
+// arena split into scanBlock-aligned transaction ranges.
+func (m *miner) countScan(c *cell) {
+	lv := m.ds.levels[c.h]
+	per := m.unitsPerShard()
+	pruned, _ := m.fanOut(c, per, func(_, s, part int, counts []int64) (int64, error) {
+		return scanUnit(c, &lv[s].flat, part, per, counts, m.done), nil
+	})
+	m.stats.ProbesPruned += pruned
 }
 
-// countScanStreaming is the disk-resident mode: one sequential pass over the
-// raw source with on-the-fly generalization to the cell's level.
-func (m *miner) countScanStreaming(c *cell) {
+// countStreaming is the disk-resident mode: one sequential pass over every
+// shard source — for a ShardedSource of FileSources, over its basket files
+// in parallel — with on-the-fly generalization to the cell's level.
+// Streaming units are whole shards, so memory stays one scan buffer and one
+// partial vector per worker. A scan failure parks in m.scanErr and fails
+// the mine.
+func (m *miner) countStreaming(c *cell) {
 	if m.scanErr != nil {
 		return
 	}
-	st := c.store
-	counts := st.Sup
-	var filtered itemset.Set
-	var pruned int64
-	if cap(m.sc.genBuf) < 32 {
-		m.sc.genBuf = make([]itemset.ID, 0, 32)
+	pruned, err := m.fanOut(c, 1, func(_, s, _ int, counts []int64) (int64, error) {
+		return streamCount(c, m.ds.shards[s], m.tax, counts, m.done)
+	})
+	if err != nil {
+		m.scanErr = err
+		return
 	}
-	buf := m.sc.genBuf
-	var seen int
-	err := m.src.Scan(func(tx itemset.Set) error {
-		// Streaming passes can't chunk the loop, so poll inside the callback
-		// — every 1024 transactions, amortized to a counter increment.
-		if seen++; seen&1023 == 0 && m.cancelled() {
+	m.stats.ProbesPruned += pruned
+}
+
+// streamCount is the one stream-generalize-count loop, shared by local
+// streaming counting and Engine.ShardSupports: a pass over src generalizing
+// each transaction to the cell's level and counting it into counts by trie
+// descent. Streaming passes can't chunk the loop, so the callback polls
+// done every 1024 transactions — amortized to a counter increment — and
+// aborts the pass with errCancelled.
+func streamCount(c *cell, src txdb.Source, tax *taxonomy.Tree, counts []int64, done <-chan struct{}) (pruned int64, err error) {
+	st := c.store
+	var filtered itemset.Set
+	buf := make([]itemset.ID, 0, 32)
+	seen := 0
+	err = src.Scan(func(tx itemset.Set) error {
+		if seen++; seen&1023 == 0 && canceled(done) {
 			return errCancelled
 		}
 		buf = buf[:0]
 		for _, id := range tx {
-			if a, ok := m.tax.AncestorAt(id, c.h); ok {
+			if a, ok := tax.AncestorAt(id, c.h); ok {
 				buf = append(buf, a)
 			}
 		}
-		g := itemset.Canon(buf)
-		filtered = st.Filter(g, filtered[:0])
+		filtered = st.Filter(itemset.Canon(buf), filtered[:0])
 		if len(filtered) < c.k {
 			return nil
 		}
@@ -262,148 +305,104 @@ func (m *miner) countScanStreaming(c *cell) {
 		pruned += itemset.Binomial(len(filtered), c.k) - hits
 		return nil
 	})
-	m.sc.genBuf = buf
-	if err != nil {
-		m.scanErr = err
-	}
-	m.stats.ProbesPruned += pruned
+	return pruned, err
 }
 
 // countTID counts by intersecting per-item transaction-ID lists, building
-// the level's lists on first use. Candidates are read straight off the
-// cell's slab; workers own disjoint index ranges, so they write disjoint
-// slots of the shared support slice.
+// the level's lists on first use. Units are candidate ranges of one shard,
+// read straight off the cell's slab; a candidate's support is the sum of
+// its per-shard intersection sizes, because each shard's lists index
+// disjoint transactions.
 func (m *miner) countTID(c *cell) {
-	lists := m.tidLists(c.h)
+	lv := m.tidLists(c.h)
 	st := c.store
-	n := st.Len()
-	workers := m.cfg.workers()
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	scratches := m.sc.tidScratchFor(workers)
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			for e := lo; e < hi; e++ {
-				if e&cancelCheckMask == 0 && m.cancelled() {
-					return
-				}
-				st.Sup[e] = intersectSupport(st.Items(int32(e)), lists, &scratches[w])
+	per := m.unitsPerShard()
+	scratches := m.sc.tidScratchFor(m.cfg.workers())
+	m.fanOut(c, per, func(w, s, part int, counts []int64) (int64, error) {
+		lo, hi := span(st.Len(), per, part, 1)
+		for e := lo; e < hi; e++ {
+			if e&cancelCheckMask == 0 && m.cancelled() {
+				break
 			}
-		}(w, lo, hi)
-	}
-	wg.Wait()
+			counts[e] += intersectSupport(st.Items(int32(e)), lv[s].tid, &scratches[w])
+		}
+		return 0, nil
+	})
 }
 
 // countBitmap counts by AND-ing per-item bit vectors over the distinct
-// weighted transactions of the level view, fanning candidate ranges out to
-// cfg.workers() goroutines. The per-level index comes from the engine's
-// dataset cache, built on first use by any run.
+// weighted transactions of each shard. Units are candidate ranges of one
+// shard; per-shard supports sum exactly, and per-shard word-op counts
+// accumulate into Stats.BitmapWordOps.
 func (m *miner) countBitmap(c *cell) {
-	ix := m.bitmapIndex(c.h)
+	lv := m.bitmapIndexes(c.h)
 	st := c.store
-	n := st.Len()
-	workers := m.cfg.workers()
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	chunk := (n + workers - 1) / workers
-	ops := make([]int64, workers)
-	scratches := m.sc.vecsFor(workers, c.k)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			scratch := scratches[w]
-			var local int64
-			for e := lo; e < hi; e++ {
-				if e&cancelCheckMask == 0 && m.cancelled() {
-					break
-				}
-				sup, n := ix.SupportInto(st.Items(int32(e)), scratch)
-				st.Sup[e] = sup
-				local += n
+	per := m.unitsPerShard()
+	scratches := m.sc.vecsFor(m.cfg.workers(), c.k)
+	ops, _ := m.fanOut(c, per, func(w, s, part int, counts []int64) (int64, error) {
+		lo, hi := span(st.Len(), per, part, 1)
+		var local int64
+		for e := lo; e < hi; e++ {
+			if e&cancelCheckMask == 0 && m.cancelled() {
+				break
 			}
-			ops[w] = local
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	for _, n := range ops {
-		m.stats.BitmapWordOps += n
-	}
+			sup, n := lv[s].bm.SupportInto(st.Items(int32(e)), scratches[w])
+			counts[e] += sup
+			local += n
+		}
+		return local, nil
+	})
+	m.stats.BitmapWordOps += ops
 }
 
-// bitmapIndex returns the per-item bit vectors of a level, built over its
-// deduplicated transactions on first use by any run of the engine and
-// cached in the dataset state. Stats.BitmapBuilds follows the run's logical
-// flags: the first use per level per run counts as a build, cached or not.
-func (m *miner) bitmapIndex(h int) *bitmap.Index {
+// bitmapIndexes returns the level's shards with their per-item bit vectors
+// built — over each shard's flat arena of deduplicated weighted
+// transactions, on first use by any run of the engine, by a bounded worker
+// pool over the shards — and cached in the dataset state.
+// Stats.BitmapBuilds follows the run's logical flags: the first use per
+// level per run counts one build per shard, cached or not.
+func (m *miner) bitmapIndexes(h int) []shardLevel {
 	ds := m.ds
+	lv := ds.levels[h]
 	ds.mu.Lock()
-	ix := ds.bitmaps[h]
-	if ix == nil {
-		data := ds.distinct[h]
-		txs := make([]itemset.Set, len(data))
-		weights := make([]int64, len(data))
-		for i, wt := range data {
-			txs[i] = wt.Items
-			weights[i] = wt.Weight
-		}
-		ix = bitmap.Build(txs, weights)
-		ds.bitmaps[h] = ix
+	if lv[0].bm == nil {
+		txdb.ForEachShard(boundWorkers(&m.cfg, len(lv)), len(lv), func(_, s int) {
+			f := &lv[s].flat
+			txs := make([]itemset.Set, f.n())
+			for t := range txs {
+				txs[t] = f.items[f.starts[t]:f.starts[t+1]]
+			}
+			lv[s].bm = bitmap.Build(txs, f.weights)
+		})
 	}
 	ds.mu.Unlock()
 	if !m.bmBuilt[h] {
 		m.bmBuilt[h] = true
-		m.stats.BitmapBuilds++
+		m.stats.BitmapBuilds += int64(len(lv))
 	}
-	return ix
+	return lv
 }
 
-// tidLists returns the per-item transaction-ID lists of a level, built on
-// first use by any run of the engine and cached in the dataset state.
-func (m *miner) tidLists(h int) map[itemset.ID][]int32 {
+// tidLists returns the level's shards with their per-item transaction-ID
+// lists built — on first use by any run of the engine, by a bounded worker
+// pool over the shards — and cached in the dataset state.
+func (m *miner) tidLists(h int) []shardLevel {
 	ds := m.ds
+	lv := ds.levels[h]
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
-	if ds.tid[h] != nil {
-		return ds.tid[h]
+	if lv[0].tid == nil {
+		txdb.ForEachShard(boundWorkers(&m.cfg, len(lv)), len(lv), func(_, s int) {
+			lists := make(map[itemset.ID][]int32)
+			for ti, tx := range lv[s].view.Tx {
+				for _, id := range tx {
+					lists[id] = append(lists[id], int32(ti))
+				}
+			}
+			lv[s].tid = lists
+		})
 	}
-	lists := make(map[itemset.ID][]int32)
-	for ti, tx := range ds.views[h].Tx {
-		for _, id := range tx {
-			lists[id] = append(lists[id], int32(ti))
-		}
-	}
-	ds.tid[h] = lists
-	return lists
+	return lv
 }
 
 // tidScratch is one tid-list worker's reusable state: the two alternating

@@ -230,8 +230,8 @@ func TestTidListsBuiltLazilyOnce(t *testing.T) {
 	if err := m.init(); err != nil {
 		t.Fatal(err)
 	}
-	l1 := m.tidLists(1)
-	l2 := m.tidLists(1)
+	l1 := m.tidLists(1)[0].tid
+	l2 := m.tidLists(1)[0].tid
 	if &l1 == &l2 {
 		// maps compare by header; check identity via a sentinel instead
 		t.Log("map headers differ; asserting cache below")
@@ -242,7 +242,7 @@ func TestTidListsBuiltLazilyOnce(t *testing.T) {
 	}
 	// Mutate the cached map; a second call must return the same cache.
 	l1[a] = nil
-	if got := m.tidLists(1); got[a] != nil {
+	if got := m.tidLists(1)[0].tid; got[a] != nil {
 		t.Error("tidLists rebuilt instead of cached")
 	}
 }

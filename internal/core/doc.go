@@ -79,18 +79,25 @@ tid lists) — both iterate the candidate slab directly. CountAuto picks per
 cell using a three-way cost estimate in word-operation units (a trie scan
 probe is calibrated as 2.5 of those; see chooseStrategy).
 
-Every backend also has a shard-parallel variant (counting_shard.go),
-selected by Config.Shards or by mining a txdb.ShardedSource: the database
-is split into contiguous transaction shards, each worker owns one shard —
-its own level views, dedup, tid lists and bitmap index, built concurrently
-at init — and fills a private partial support vector; mergePartials sums
-the partials into the candidate slab in shard order. Integer sums make the
-sharded output byte-identical to the unsharded run (shard_test.go pins
-this across strategies, pruning levels and shard counts), which is why
-Shards, like Parallelism, is excluded from Config.CanonicalKey. Sharded
-streaming scans the shard sources in parallel — for per-shard basket
-files, the out-of-core mode. Stats.Shards and Stats.ShardMergeNs surface
-the fan-out and the serial merge fraction.
+Every backend runs through one pipeline (fanOut). The database is a list
+of contiguous transaction shards — one shard when unsharded; more from
+Config.Shards or a txdb.ShardedSource — and each shard keeps its own level
+views, flat arenas, tid lists and bitmap index, built concurrently. A
+counting pass splits each of the S shards into ⌈W/S⌉ work units for W =
+Config.Parallelism workers: scanBlock-aligned transaction ranges for scan,
+candidate ranges for tid-lists and bitmaps, whole shards when streaming.
+A bounded pool (txdb.ForEachShard) runs the units, each worker summing
+into a private partial support vector, and mergePartials folds the
+partials into the slab. With S = 1 that is a range fan-out over the whole
+database; with S ≥ W, one shard per worker. Integer sums make every split
+byte-identical to the serial run (shard_test.go pins patterns and stats
+across strategies, pruning levels, shard counts and parallelism), which
+is why Shards, like Parallelism, is excluded from Config.CanonicalKey.
+Streaming over per-shard basket files is the out-of-core mode. Cluster
+workers (Engine.ShardSupports) count a shard with the same kernels: one
+whole-shard scan unit, or the shared streaming pass (streamCount).
+Stats.Shards and Stats.ShardMergeNs surface the fan-out and the serial
+merge fraction.
 
 # Labeling and chains (engine.go finishCell)
 

@@ -26,10 +26,11 @@ type Result struct {
 
 // Engine mines one source/taxonomy pair repeatedly, caching everything that
 // depends only on the dataset — materialized level views, deduplicated
-// weighted transactions, the flat scan arenas, and the lazily built tid
-// lists and bitmap indexes, each with their per-shard equivalents — across
-// Mine calls, plus a pool of per-run scratch (candidate stores, counting
-// buffers, chain arenas) so repeated runs stop paying full allocation.
+// weighted transactions in flat scan arenas, and the lazily built tid
+// lists and bitmap indexes, all kept per transaction shard (an unsharded
+// dataset is one shard) — across Mine calls, plus a pool of per-run
+// scratch (candidate stores, counting buffers, chain arenas) so repeated
+// runs stop paying full allocation.
 //
 // Cached state is keyed by the parts of the configuration that shape it
 // (Materialize and the resolved shard count); every other knob varies freely
@@ -77,7 +78,7 @@ func NewEngine(src txdb.Source, tree *taxonomy.Tree) *Engine {
 
 // dataKey identifies one cached dataset representation: whether level views
 // are materialized, and how many transaction shards counting fans out over
-// (0 when unsharded).
+// (1 when unsharded, so Config.Shards 0 and 1 share one representation).
 type dataKey struct {
 	materialize bool
 	shards      int
@@ -93,27 +94,56 @@ type dataState struct {
 	built   bool
 	err     error // the completed build's error, returned to every run
 
-	shards []txdb.Source // resolved shard sources; nil/len≤1 when unsharded
+	shards []txdb.Source // resolved shard sources; one when unsharded
 
-	views    []*txdb.LevelView      // indexed by level; nil when streaming
-	distinct [][]txdb.WeightedTx    // deduplicated weighted txs per level
-	flat     []flatLevel            // cache-blocked scan layout per level
-	sup1     []map[itemset.ID]int64 // all single supports per level
-	widths   []int                  // max generalized width per level
+	levels [][]shardLevel         // [level][shard]; nil when streaming
+	sup1   []map[itemset.ID]int64 // all single supports per level
+	widths []int                  // max generalized width per level
 
-	shardLv   [][]*txdb.LevelView   // [level][shard]; nil when streaming
-	shardDist [][][]txdb.WeightedTx // [level][shard]
-	shardFlat [][]flatLevel         // [level][shard]
-
-	mu       sync.Mutex // guards the lazy index builds below
-	tid      []map[itemset.ID][]int32
-	bitmaps  []*bitmap.Index
-	shardTID [][]map[itemset.ID][]int32
-	shardBM  [][]*bitmap.Index
+	mu       sync.Mutex          // guards the lazy index builds in levels
 	sketches map[int]*sketch.Set // anchored-search sketches by signature size
 }
 
+// shardLevel is one shard's share of one materialized level: its
+// generalized transactions (which the tid lists index), the flat scan
+// arena of their deduplicated weighted form (which the scan kernel walks
+// and the bitmap index is built from), and the two lazily built indexes.
+type shardLevel struct {
+	view *txdb.LevelView
+	flat flatLevel
+	tid  map[itemset.ID][]int32
+	bm   *bitmap.Index
+}
+
 func (ds *dataState) sharded() bool { return len(ds.shards) > 1 }
+
+// resolveShardSources decides a run's shard layout. A ShardedSource brings
+// its own shards (its on-disk partitioning is authoritative); otherwise
+// cfgShards > 1 partitions an in-memory database in place. Any other
+// source — e.g. a single FileSource, which cannot be split without
+// rewriting the file — is its own single shard regardless of
+// Config.Shards.
+func resolveShardSources(src txdb.Source, cfgShards int) []txdb.Source {
+	if ss, ok := src.(*txdb.ShardedSource); ok && ss.NumShards() > 1 {
+		return ss.Shards()
+	}
+	if db, ok := src.(*txdb.DB); ok && cfgShards > 1 {
+		if parts := txdb.Partition(db, cfgShards); len(parts) > 1 {
+			shards := make([]txdb.Source, len(parts))
+			for i, p := range parts {
+				shards[i] = p
+			}
+			return shards
+		}
+	}
+	return []txdb.Source{src}
+}
+
+// boundWorkers bounds a fan-out over n units at the configured
+// parallelism: at most cfg.workers() goroutines, at least one.
+func boundWorkers(cfg *Config, n int) int {
+	return max(1, min(cfg.workers(), n))
+}
 
 // dataFor resolves (building at most once) the dataset state a run over cfg
 // needs. The build observes ctx: a cancelled build is reported as the
@@ -132,7 +162,7 @@ func (e *Engine) dataFor(ctx context.Context, cfg Config) (*dataState, error) {
 	ds.buildMu.Lock()
 	defer ds.buildMu.Unlock()
 	if !ds.built {
-		err := ds.build(ctx, e.src, e.tree, cfg)
+		err := ds.build(ctx, e.tree, cfg)
 		if err != nil && ctx.Err() != nil {
 			return nil, fmt.Errorf("core: mine aborted: %w", ctx.Err())
 		}
@@ -141,121 +171,114 @@ func (e *Engine) dataFor(ctx context.Context, cfg Config) (*dataState, error) {
 	return ds, ds.err
 }
 
-// build materializes level views (or streams one single-support pass) for
-// this representation. Parallelism of the build follows the triggering
-// run's configuration; the built state is identical either way. The
-// materializing scans and the per-level dedup observe ctx.
-func (ds *dataState) build(ctx context.Context, src txdb.Source, tax *taxonomy.Tree, cfg Config) error {
+// build materializes every shard's level views — all levels of a shard in
+// one pass, the shards concurrently over a bounded worker pool, then each
+// level's per-shard dedup and flat arena the same way — or, for the
+// streaming representation, runs the single-support pass. Parallelism of
+// the build follows the triggering run's configuration; the built state is
+// identical either way. The materializing scans, the per-level dedup and
+// the streaming pass observe ctx.
+func (ds *dataState) build(ctx context.Context, tax *taxonomy.Tree, cfg Config) error {
 	H := tax.Height()
-	ds.views = make([]*txdb.LevelView, H+1)
-	ds.distinct = make([][]txdb.WeightedTx, H+1)
-	ds.flat = make([]flatLevel, H+1)
+	workers := boundWorkers(&cfg, len(ds.shards))
+	if !cfg.Materialize {
+		return ds.streamSingleSupports(ctx, tax, workers)
+	}
+	shardViews, err := txdb.MaterializeShards(ctx, ds.shards, tax, workers)
+	if err != nil {
+		return err
+	}
+	ds.levels = make([][]shardLevel, H+1)
 	ds.sup1 = make([]map[itemset.ID]int64, H+1)
 	ds.widths = make([]int, H+1)
-	ds.tid = make([]map[itemset.ID][]int32, H+1)
-	ds.bitmaps = make([]*bitmap.Index, H+1)
-	if ds.sharded() {
-		ds.shardLv = make([][]*txdb.LevelView, H+1)
-		ds.shardDist = make([][][]txdb.WeightedTx, H+1)
-		ds.shardFlat = make([][]flatLevel, H+1)
-		ds.shardTID = make([][]map[itemset.ID][]int32, H+1)
-		ds.shardBM = make([][]*bitmap.Index, H+1)
-	}
-	switch {
-	case cfg.Materialize && ds.sharded():
-		// Per-shard level views, all levels of a shard in one pass, built
-		// concurrently (a bounded worker pool over the shards, then another
-		// per level for dedup). The merged per-item supports and widths are
-		// exact integer aggregates of the shard views, so the level
-		// summaries the rest of the run reads are identical to the
-		// unsharded views.
-		shardViews, err := txdb.MaterializeShards(ctx, ds.shards, tax, boundWorkers(&cfg, len(ds.shards)))
-		if err != nil {
+	for h := 1; h <= H; h++ {
+		if err := ctx.Err(); err != nil {
 			return err
 		}
-		for h := 1; h <= H; h++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			views := make([]*txdb.LevelView, len(shardViews))
-			for s, levels := range shardViews {
-				views[s] = levels[h]
-			}
-			ds.shardLv[h] = views
-			dist := make([][]txdb.WeightedTx, len(views))
-			flats := make([]flatLevel, len(views))
-			txdb.ForEachShard(boundWorkers(&cfg, len(views)), len(views), func(_, s int) {
-				dist[s] = views[s].Dedup()
-				flats[s] = flatten(dist[s])
-			})
-			ds.shardDist[h] = dist
-			ds.shardFlat[h] = flats
-			sup := make(map[itemset.ID]int64)
-			width := 0
-			for _, v := range views {
-				if v.MaxWidth > width {
-					width = v.MaxWidth
-				}
-				for id, n := range v.Support {
+		lv := make([]shardLevel, len(shardViews))
+		txdb.ForEachShard(workers, len(lv), func(_, s int) {
+			view := shardViews[s][h]
+			lv[s] = shardLevel{view: view, flat: flatten(view.Dedup())}
+		})
+		ds.levels[h] = lv
+		// The shards' per-item supports sum — and their widths max — to
+		// exactly the unsharded view's values, because generalization is
+		// per-transaction; a lone shard's map is the level's as is.
+		sup, width := lv[0].view.Support, lv[0].view.MaxWidth
+		if len(lv) > 1 {
+			sup = make(map[itemset.ID]int64)
+			for _, l := range lv {
+				width = max(width, l.view.MaxWidth)
+				for id, n := range l.view.Support {
 					sup[id] += n
 				}
 			}
-			ds.views[h] = &txdb.LevelView{Level: h, Support: sup, MaxWidth: width}
-			ds.sup1[h] = sup
-			ds.widths[h] = width
 		}
-	case cfg.Materialize:
-		views, err := txdb.MaterializeLevels(ctx, src, tax)
-		if err != nil {
-			return err
-		}
+		ds.sup1[h], ds.widths[h] = sup, width
+	}
+	return nil
+}
+
+// streamSingleSupports is the streaming init: one pass over every shard,
+// a bounded worker pool scanning the shards concurrently, each worker
+// aggregating per-level single supports and widths across its shards
+// locally. Integer sums and maxima make the merged aggregates independent
+// of the shard layout and worker assignment. The callback polls ctx every
+// 1024 transactions, so a cancelled build stops within that many.
+func (ds *dataState) streamSingleSupports(ctx context.Context, tax *taxonomy.Tree, workers int) error {
+	H := tax.Height()
+	type agg struct {
+		sup    []map[itemset.ID]int64
+		widths []int
+		err    error
+	}
+	aggs := make([]agg, workers)
+	for w := range aggs {
+		aggs[w].sup = make([]map[itemset.ID]int64, H+1)
+		aggs[w].widths = make([]int, H+1)
 		for h := 1; h <= H; h++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			lv := views[h]
-			ds.views[h] = lv
-			ds.distinct[h] = lv.Dedup()
-			ds.flat[h] = flatten(ds.distinct[h])
-			ds.sup1[h] = lv.Support
-			ds.widths[h] = lv.MaxWidth
+			aggs[w].sup[h] = make(map[itemset.ID]int64)
 		}
-	case ds.sharded():
-		// Streaming init over shards: a worker pool runs the single-item
-		// passes concurrently; the per-level integer aggregates then merge.
-		if err := ds.streamSingleSupportsShards(tax, H, boundWorkers(&cfg, len(ds.shards))); err != nil {
-			return err
-		}
-	default:
-		// One streaming pass computing all levels' single supports.
-		for h := 1; h <= H; h++ {
-			ds.sup1[h] = make(map[itemset.ID]int64)
+	}
+	txdb.ForEachShard(workers, len(ds.shards), func(w, s int) {
+		a := &aggs[w]
+		if a.err != nil {
+			return
 		}
 		buf := make([]itemset.ID, 0, 32)
 		seen := 0
-		err := src.Scan(func(tx itemset.Set) error {
+		a.err = ds.shards[s].Scan(func(tx itemset.Set) error {
 			if seen++; seen&1023 == 0 && ctx.Err() != nil {
 				return ctx.Err()
 			}
 			for h := 1; h <= H; h++ {
 				buf = buf[:0]
 				for _, id := range tx {
-					if a, ok := tax.AncestorAt(id, h); ok {
-						buf = append(buf, a)
+					if anc, ok := tax.AncestorAt(id, h); ok {
+						buf = append(buf, anc)
 					}
 				}
 				g := itemset.Canon(buf)
-				if len(g) > ds.widths[h] {
-					ds.widths[h] = len(g)
-				}
+				a.widths[h] = max(a.widths[h], len(g))
 				for _, id := range g {
-					ds.sup1[h][id]++
+					a.sup[h][id]++
 				}
 			}
 			return nil
 		})
-		if err != nil {
-			return err
+	})
+	for _, a := range aggs {
+		if a.err != nil {
+			return a.err
+		}
+	}
+	ds.sup1, ds.widths = aggs[0].sup, aggs[0].widths
+	for _, a := range aggs[1:] {
+		for h := 1; h <= H; h++ {
+			ds.widths[h] = max(ds.widths[h], a.widths[h])
+			for id, n := range a.sup[h] {
+				ds.sup1[h][id] += n
+			}
 		}
 	}
 	return nil
@@ -316,7 +339,6 @@ type runScratch struct {
 	vecs     [][]bitmap.Vector
 	tidScr   []tidScratch
 	cand     []itemset.ID // candidate canonicalization buffer
-	genBuf   []itemset.ID // streaming generalization buffer
 }
 
 func (e *Engine) getScratch() *runScratch {
@@ -657,6 +679,10 @@ func (m *miner) bind(e *Engine) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	// Resolve the worker count once, so every pass of the run sizes its
+	// work units, pool and per-worker scratch from the same value even if
+	// GOMAXPROCS changes mid-run.
+	m.cfg.Parallelism = m.cfg.workers()
 	ds, err := e.dataFor(ctx, m.cfg)
 	if err != nil {
 		return err
@@ -679,10 +705,7 @@ func (m *miner) bind(e *Engine) error {
 		m.rows[h] = make(map[int]*cell)
 		m.excluded[h] = make(map[itemset.ID]bool)
 	}
-	m.stats.Shards = 1
-	if ds.sharded() {
-		m.stats.Shards = len(ds.shards)
-	}
+	m.stats.Shards = len(ds.shards)
 	m.stats.DBScans += initScans(&m.cfg, H)
 
 	for h := 1; h <= H; h++ {
@@ -749,9 +772,6 @@ func (m *miner) release() {
 	m.sc = nil
 	m.eng.putScratch(sc)
 }
-
-// sharded reports whether counting fans out over shards.
-func (m *miner) sharded() bool { return m.ds.sharded() }
 
 // canceled is the shared cancellation checkpoint: one nil check when the run
 // has no cancellable context, one non-blocking channel poll otherwise.

@@ -6,7 +6,6 @@ import (
 
 	"github.com/flipper-mining/flipper/internal/candtrie"
 	"github.com/flipper-mining/flipper/internal/itemset"
-	"github.com/flipper-mining/flipper/internal/txdb"
 )
 
 // Distributed counting support: the two exports internal/cluster builds its
@@ -89,21 +88,18 @@ func (m *miner) countRemote(c *cell) {
 // the same data and configuration, so shard indexes agree across nodes
 // without negotiation.
 func (e *Engine) ResolveShards(cfg Config) int {
-	shards := resolveShardSources(e.src, cfg.Shards)
-	if len(shards) <= 1 {
-		return 1
-	}
-	return len(shards)
+	return len(resolveShardSources(e.src, cfg.Shards))
 }
 
 // ShardSupports counts candidates (itemsets of one size, in slab order) at
 // taxonomy level h over one transaction shard and returns the partial
 // support vector, aligned index-for-index with candidates. shard indexes
 // the resolved shard layout (see ResolveShards); for an unsharded run,
-// shard 0 is the whole database. The scan-descent counter is used
-// regardless of cfg.Strategy — every backend counts identically, and the
-// trie walk needs no per-shard index build, which keeps a worker's first
-// request as cheap as its hundredth.
+// shard 0 is the whole database. The shard is counted by the local scan
+// backend's own kernels — one whole-shard scan unit, or the shared
+// streaming pass — regardless of cfg.Strategy: every backend counts
+// identically, and the trie walk needs no per-shard index build, which
+// keeps a worker's first request as cheap as its hundredth.
 func (e *Engine) ShardSupports(ctx context.Context, cfg Config, h int, cands []itemset.Set, shard int) ([]int64, error) {
 	if e.tree == nil {
 		return nil, fmt.Errorf("core: nil taxonomy")
@@ -125,12 +121,8 @@ func (e *Engine) ShardSupports(ctx context.Context, cfg Config, h int, cands []i
 	if err != nil {
 		return nil, err
 	}
-	nshards := 1
-	if ds.sharded() {
-		nshards = len(ds.shards)
-	}
-	if shard < 0 || shard >= nshards {
-		return nil, fmt.Errorf("core: shard %d out of [0, %d)", shard, nshards)
+	if shard < 0 || shard >= len(ds.shards) {
+		return nil, fmt.Errorf("core: shard %d out of [0, %d)", shard, len(ds.shards))
 	}
 	st := candtrie.New(k)
 	for i, cand := range cands {
@@ -153,24 +145,13 @@ func (e *Engine) ShardSupports(ctx context.Context, cfg Config, h int, cands []i
 	st.Freeze()
 	c := &cell{h: h, k: k, store: st}
 	done := ctx.Done()
-	switch {
-	case cfg.Materialize && ds.sharded():
-		f := &ds.shardFlat[h][shard]
-		scanTxsCheckpointed(c, f, 0, f.n(), st.Sup, done)
-	case cfg.Materialize:
-		f := &ds.flat[h]
-		scanTxsCheckpointed(c, f, 0, f.n(), st.Sup, done)
-	default:
-		src := e.src
-		if ds.sharded() {
-			src = ds.shards[shard]
+	if cfg.Materialize {
+		scanUnit(c, &ds.levels[h][shard].flat, 0, 1, st.Sup, done)
+	} else if _, err := streamCount(c, ds.shards[shard], e.tree, st.Sup, done); err != nil {
+		if ctxErr := ctx.Err(); ctxErr != nil {
+			return nil, ctxErr
 		}
-		if err := streamCountShard(c, src, e, done); err != nil {
-			if ctxErr := ctx.Err(); ctxErr != nil {
-				return nil, ctxErr
-			}
-			return nil, err
-		}
+		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -178,31 +159,4 @@ func (e *Engine) ShardSupports(ctx context.Context, cfg Config, h int, cands []i
 	out := make([]int64, st.Len())
 	copy(out, st.Sup)
 	return out, nil
-}
-
-// streamCountShard is the streaming form of ShardSupports: one pass over
-// the shard source with on-the-fly generalization to the cell's level.
-func streamCountShard(c *cell, src txdb.Source, e *Engine, done <-chan struct{}) error {
-	st := c.store
-	var filtered itemset.Set
-	var seen int
-	buf := make([]itemset.ID, 0, 32)
-	return src.Scan(func(tx itemset.Set) error {
-		if seen++; seen&1023 == 0 && canceled(done) {
-			return errCancelled
-		}
-		buf = buf[:0]
-		for _, id := range tx {
-			if a, ok := e.tree.AncestorAt(id, c.h); ok {
-				buf = append(buf, a)
-			}
-		}
-		g := itemset.Canon(buf)
-		filtered = st.Filter(g, filtered[:0])
-		if len(filtered) < c.k {
-			return nil
-		}
-		st.CountTx(filtered, 1, st.Sup)
-		return nil
-	})
 }

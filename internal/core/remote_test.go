@@ -55,6 +55,7 @@ func TestMineRemoteLoopbackEquivalence(t *testing.T) {
 	}{
 		{"scan-mat-1", CountScan, true, 1},
 		{"scan-mat-2", CountScan, true, 2},
+		{"scan-stream-1", CountScan, false, 1},
 		{"scan-stream-7", CountScan, false, 7},
 		{"tid-mat-2", CountTIDList, true, 2},
 		{"bitmap-mat-7", CountBitmap, true, 7},
@@ -96,7 +97,8 @@ func TestMineRemoteLoopbackEquivalence(t *testing.T) {
 }
 
 // TestShardSupportsPartialsSumToTotals pins the partial-vector contract
-// directly: per-shard vectors sum to the unsharded shard-0 totals.
+// directly, materialized and streaming: per-shard vectors sum to the
+// unsharded shard-0 totals.
 func TestShardSupportsPartialsSumToTotals(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	db, tree := randomDataset(rng)
@@ -116,48 +118,50 @@ func TestShardSupportsPartialsSumToTotals(t *testing.T) {
 	if len(cands) == 0 {
 		t.Skip("no candidate pairs")
 	}
-	base := Config{
-		Measure: measure.Kulczynski, Gamma: 0.3, Epsilon: 0.1,
-		MinSupAbs: []int64{1, 1, 1}, Materialize: true,
-	}
 	ctx := context.Background()
-	for h := 1; h <= tree.Height(); h++ {
-		// Generalize the candidates to level h; skip collapsed ones.
-		var hc []itemset.Set
-		for _, c := range cands {
-			g, ok := tree.GeneralizeSet(c, h)
-			if ok && len(g) == len(c) {
-				hc = append(hc, g)
-			}
+	for _, materialize := range []bool{true, false} {
+		base := Config{
+			Measure: measure.Kulczynski, Gamma: 0.3, Epsilon: 0.1,
+			MinSupAbs: []int64{1, 1, 1}, Materialize: materialize,
 		}
-		hc = dedupSets(hc)
-		if len(hc) == 0 {
-			continue
-		}
-		whole := NewEngine(db, tree)
-		want, err := whole.ShardSupports(ctx, base, h, hc, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, shards := range []int{2, 7} {
-			cfg := base
-			cfg.Shards = shards
-			eng := NewEngine(db, tree)
-			n := eng.ResolveShards(cfg)
-			got := make([]int64, len(hc))
-			for s := 0; s < n; s++ {
-				part, err := eng.ShardSupports(ctx, cfg, h, hc, s)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i, v := range part {
-					got[i] += v
+		for h := 1; h <= tree.Height(); h++ {
+			// Generalize the candidates to level h; skip collapsed ones.
+			var hc []itemset.Set
+			for _, c := range cands {
+				g, ok := tree.GeneralizeSet(c, h)
+				if ok && len(g) == len(c) {
+					hc = append(hc, g)
 				}
 			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("h=%d shards=%d cand %v: partials sum to %d, whole-db says %d",
-						h, shards, hc[i], got[i], want[i])
+			hc = dedupSets(hc)
+			if len(hc) == 0 {
+				continue
+			}
+			whole := NewEngine(db, tree)
+			want, err := whole.ShardSupports(ctx, base, h, hc, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, shards := range []int{2, 7} {
+				cfg := base
+				cfg.Shards = shards
+				eng := NewEngine(db, tree)
+				n := eng.ResolveShards(cfg)
+				got := make([]int64, len(hc))
+				for s := 0; s < n; s++ {
+					part, err := eng.ShardSupports(ctx, cfg, h, hc, s)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for i, v := range part {
+						got[i] += v
+					}
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("materialize=%v h=%d shards=%d cand %v: partials sum to %d, whole-db says %d",
+							materialize, h, shards, hc[i], got[i], want[i])
+					}
 				}
 			}
 		}

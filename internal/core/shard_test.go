@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -11,6 +12,7 @@ import (
 	"github.com/flipper-mining/flipper/internal/dict"
 	"github.com/flipper-mining/flipper/internal/itemset"
 	"github.com/flipper-mining/flipper/internal/measure"
+	"github.com/flipper-mining/flipper/internal/sketch"
 	"github.com/flipper-mining/flipper/internal/txdb"
 )
 
@@ -18,8 +20,13 @@ import (
 // counting: across every counting strategy, every pruning level and shard
 // counts 1, 2 and 7, mining a partitioned database produces output
 // byte-identical to the unsharded run — same patterns, same supports, same
-// correlations and labels. It runs under the CI race job (go test -race
-// ./...), so the shard-worker scratch discipline is also raced on every PR.
+// correlations and labels. Within one shard count, the whole stats
+// envelope (volatile keys aside) must also be identical at Parallelism 1, 3
+// and 8: splitting a pass into more or fewer work units may not double- or
+// under-count a counter such as probes_pruned or bitmap_word_ops. Every
+// strategy runs materialized, and scan streaming as well. It runs under
+// the CI race job (go test -race ./...), so the worker scratch discipline
+// is also raced on every PR.
 func TestShardedMiningEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	trials := 6
@@ -27,11 +34,17 @@ func TestShardedMiningEquivalence(t *testing.T) {
 		trials = 2
 	}
 	shardCounts := []int{1, 2, 7}
-	strategies := []CountStrategy{CountScan, CountTIDList, CountBitmap, CountAuto}
+	variants := []struct {
+		strategy    CountStrategy
+		materialize bool
+	}{
+		{CountScan, true}, {CountTIDList, true}, {CountBitmap, true}, {CountAuto, true}, {CountScan, false},
+	}
 	for trial := 0; trial < trials; trial++ {
 		db, tree := randomDataset(rng)
 		for _, pruning := range Levels() {
-			for _, strategy := range strategies {
+			for _, v := range variants {
+				strategy := v.strategy
 				cfg := Config{
 					Measure:     measure.Kulczynski,
 					Gamma:       0.3,
@@ -39,7 +52,7 @@ func TestShardedMiningEquivalence(t *testing.T) {
 					MinSupAbs:   []int64{2, 1, 1},
 					Pruning:     pruning,
 					Strategy:    strategy,
-					Materialize: true,
+					Materialize: v.materialize,
 				}
 				base, err := Mine(db, tree, cfg)
 				if err != nil {
@@ -50,18 +63,29 @@ func TestShardedMiningEquivalence(t *testing.T) {
 					t.Fatalf("trial %d: unsharded run reports %d shards", trial, base.Stats.Shards)
 				}
 				for _, shards := range shardCounts {
-					c := cfg
-					c.Shards = shards
-					res, err := Mine(db, tree, c)
-					if err != nil {
-						t.Fatalf("trial %d %v/%v shards=%d: %v", trial, pruning, strategy, shards, err)
-					}
-					if got := fingerprint(res, tree); got != want {
-						t.Fatalf("trial %d: %v/%v with %d shards diverged from unsharded.\nunsharded:\n%s\nsharded:\n%s",
-							trial, pruning, strategy, shards, want, got)
-					}
-					if shards > 1 && res.Stats.Shards != shards {
-						t.Fatalf("trial %d: requested %d shards, stats report %d", trial, shards, res.Stats.Shards)
+					var serial string
+					for _, par := range []int{1, 3, 8} {
+						c := cfg
+						c.Shards = shards
+						c.Parallelism = par
+						res, err := Mine(db, tree, c)
+						if err != nil {
+							t.Fatalf("trial %d %v/%v shards=%d: %v", trial, pruning, strategy, shards, err)
+						}
+						if got := fingerprint(res, tree); got != want {
+							t.Fatalf("trial %d: %v/%v with %d shards diverged from unsharded.\nunsharded:\n%s\nsharded:\n%s",
+								trial, pruning, strategy, shards, want, got)
+						}
+						if shards > 1 && res.Stats.Shards != shards {
+							t.Fatalf("trial %d: requested %d shards, stats report %d", trial, shards, res.Stats.Shards)
+						}
+						got := stableStats(t, res)
+						if par == 1 {
+							serial = got
+						} else if got != serial {
+							t.Fatalf("trial %d: %v/%v (materialize=%v) shards=%d: stats at parallelism %d differ from serial.\nserial:   %s\nparallel: %s",
+								trial, pruning, strategy, v.materialize, shards, par, serial, got)
+						}
 					}
 				}
 				// The same property through an explicit ShardedSource.
@@ -79,6 +103,27 @@ func TestShardedMiningEquivalence(t *testing.T) {
 			}
 		}
 	}
+}
+
+// stableStats is a run's stats envelope with VolatileStatsKeys removed.
+func stableStats(t *testing.T, res *Result) string {
+	t.Helper()
+	raw, err := json.Marshal(res.Stats.JSON())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m map[string]any
+	if err := json.Unmarshal(raw, &m); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range VolatileStatsKeys() {
+		delete(m, k)
+	}
+	out, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out)
 }
 
 // TestShardedStreamingEquivalence covers the disk-resident shard path: a
@@ -265,5 +310,46 @@ func TestShardStatsSurface(t *testing.T) {
 	}
 	if res.Stats.CandidatesCounted > 0 && res.Stats.BitmapBuilds < 4 {
 		t.Fatalf("sharded bitmap run built %d indexes, want ≥ 4 (one per shard)", res.Stats.BitmapBuilds)
+	}
+}
+
+// TestUnshardedIsOneShardLayout pins what "unsharded means one shard" must
+// not change: Config.Shards 0 and 1 share one cached representation, and
+// the sketch fingerprint of that representation hashes a shard count of 0,
+// so sketch files saved for unsharded datasets keep warm-starting.
+func TestUnshardedIsOneShardLayout(t *testing.T) {
+	db, tree := paperToy(t)
+	eng := NewEngine(db, tree)
+	for _, shards := range []int{0, 1} {
+		cfg := toyConfig()
+		cfg.Shards = shards
+		if _, err := eng.Mine(cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(eng.data) != 1 {
+		t.Fatalf("Shards 0 and 1 built %d dataset representations, want 1", len(eng.data))
+	}
+	for _, tc := range []struct{ shards, hashed int }{{0, 0}, {1, 0}, {2, 2}} {
+		cfg := toyConfig()
+		cfg.Shards = tc.shards
+		minSup, err := cfg.validate(tree.Height(), db.Len())
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := &miner{cfg: cfg, tax: tree, src: db, height: tree.Height(), n: db.Len(), minSup: minSup}
+		if err := m.init(); err != nil {
+			t.Fatal(err)
+		}
+		want := sketch.Hash(uint64(m.n)<<32 ^ uint64(m.height)<<8 ^ uint64(tc.hashed))
+		for h := 1; h <= m.height; h++ {
+			for id, sup := range m.ds.sup1[h] {
+				want ^= sketch.Hash(uint64(h)<<56 ^ uint64(uint32(id))<<24 ^ uint64(sup))
+			}
+		}
+		if got := m.sketchFingerprint(); got != want {
+			t.Errorf("shards=%d: sketch fingerprint %x, want %x (shard count %d hashed)", tc.shards, got, want, tc.hashed)
+		}
+		m.release()
 	}
 }

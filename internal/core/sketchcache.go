@@ -32,14 +32,14 @@ func (m *miner) sketchSet() *sketch.Set {
 	// Persisted sketches are keyed by raw transaction IDs, which only the
 	// unsharded representation uses (sharded keys fold the shard index in),
 	// so the file is read and written for unsharded runs only.
-	if path != "" && !m.sharded() {
+	if path != "" && !m.ds.sharded() {
 		if loaded, err := sketch.LoadFile(path); err == nil &&
 			loaded.K == k && loaded.Fingerprint == fp && len(loaded.Levels) == m.height+1 {
 			return ds.storeSketches(k, loaded)
 		}
 	}
 	s = m.buildSketchSet(k, fp)
-	if path != "" && !m.sharded() {
+	if path != "" && !m.ds.sharded() {
 		_ = s.SaveFile(path) // best-effort warm-start for the next engine
 	}
 	return ds.storeSketches(k, s)
@@ -61,26 +61,19 @@ func (ds *dataState) storeSketches(k int, s *sketch.Set) *sketch.Set {
 }
 
 // buildSketchSet runs every level's tid lists through a bottom-k builder.
-// Unsharded keys are the raw transaction IDs; sharded keys fold the shard
-// index into the high half so IDs stay distinct across shards.
+// Keys fold the shard index into the high half so transaction IDs stay
+// distinct across shards; an unsharded dataset's keys are therefore its raw
+// transaction IDs.
 func (m *miner) buildSketchSet(k int, fp uint64) *sketch.Set {
 	H := m.height
 	set := &sketch.Set{K: k, Fingerprint: fp, Levels: make([]*sketch.Level, H+1)}
 	for h := 1; h <= H; h++ {
 		b := sketch.NewBuilder(k)
-		if m.sharded() {
-			for s, lists := range m.shardTIDLists(h) {
-				base := uint64(s) << 32
-				for id, tids := range lists {
-					for _, tid := range tids {
-						b.Observe(id, base|uint64(uint32(tid)))
-					}
-				}
-			}
-		} else {
-			for id, tids := range m.tidLists(h) {
+		for s, l := range m.tidLists(h) {
+			base := uint64(s) << 32
+			for id, tids := range l.tid {
 				for _, tid := range tids {
-					b.Observe(id, uint64(uint32(tid)))
+					b.Observe(id, base|uint64(uint32(tid)))
 				}
 			}
 		}
@@ -93,9 +86,15 @@ func (m *miner) buildSketchSet(k int, fp uint64) *sketch.Set {
 // change to a level's single supports — or to the transaction count,
 // height, or shard layout — changes it, so a stale sketch file on disk is
 // rebuilt rather than trusted. The XOR of per-item hashes keeps the value
-// independent of map iteration order.
+// independent of map iteration order. An unsharded dataset hashes a shard
+// count of 0, the value sketch files have always carried for it, so files
+// saved by earlier builds still warm-start.
 func (m *miner) sketchFingerprint() uint64 {
-	fp := sketch.Hash(uint64(m.n)<<32 ^ uint64(m.height)<<8 ^ uint64(len(m.ds.shards)))
+	layout := 0
+	if m.ds.sharded() {
+		layout = len(m.ds.shards)
+	}
+	fp := sketch.Hash(uint64(m.n)<<32 ^ uint64(m.height)<<8 ^ uint64(layout))
 	for h := 1; h <= m.height; h++ {
 		for id, sup := range m.ds.sup1[h] {
 			fp ^= sketch.Hash(uint64(h)<<56 ^ uint64(uint32(id))<<24 ^ uint64(sup))

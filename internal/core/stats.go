@@ -28,8 +28,9 @@ type Stats struct {
 
 	// Shards is the number of transaction shards counting fanned out over
 	// (1 when the run was unsharded), and ShardMergeNs the nanoseconds spent
-	// merging per-shard partial support vectors into the candidate slabs —
-	// the serial fraction that bounds sharded speedup (Amdahl's law).
+	// merging per-worker partial support vectors into the candidate slabs —
+	// in every run whose passes used more than one worker, sharded or not;
+	// the serial fraction that bounds parallel speedup (Amdahl's law).
 	Shards       int
 	ShardMergeNs int64
 

@@ -207,13 +207,17 @@ func OpenShardDir(dir string, d *dict.Dictionary, stream bool) (*ShardedSource, 
 // discipline every shard-parallel path shares — at most `workers`
 // goroutines live regardless of shard count, so shard count scales
 // independently of core count. Only worker w calls body with that w, so
-// per-worker state indexed by w needs no locking.
+// per-worker state indexed by w needs no locking. A pool of one runs body
+// on the calling goroutine.
 func ForEachShard(workers, n int, body func(w, s int)) {
 	if workers > n {
 		workers = n
 	}
-	if workers < 1 {
-		workers = 1
+	if workers <= 1 {
+		for s := 0; s < n; s++ {
+			body(0, s)
+		}
+		return
 	}
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {

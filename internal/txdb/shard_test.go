@@ -242,3 +242,29 @@ func TestMaterializeShardsMergesToUnsharded(t *testing.T) {
 		}
 	}
 }
+
+// TestForEachShardVisitsEachOnce pins the pool contract callers index
+// per-worker state by: every index in [0, n) runs exactly once, on a worker
+// w below the bounded pool size — w = 0 for a pool of one, which runs on
+// the calling goroutine.
+func TestForEachShardVisitsEachOnce(t *testing.T) {
+	for _, workers := range []int{0, 1, 3, 10} {
+		for _, n := range []int{0, 1, 7} {
+			pool := min(max(workers, 1), max(n, 1))
+			visits := make([]int, n)
+			owner := make([]int, n)
+			ForEachShard(workers, n, func(w, s int) {
+				visits[s]++
+				owner[s] = w
+			})
+			for s := range visits {
+				if visits[s] != 1 {
+					t.Fatalf("workers=%d n=%d: index %d ran %d times", workers, n, s, visits[s])
+				}
+				if owner[s] < 0 || owner[s] >= pool || owner[s] != s%pool {
+					t.Fatalf("workers=%d n=%d: index %d ran on worker %d of %d", workers, n, s, owner[s], pool)
+				}
+			}
+		}
+	}
+}
