@@ -182,6 +182,7 @@ func TestCLIErrors(t *testing.T) {
 		{"-tax", tax, "-db", db, "-pruning", "bogus"}, // unknown pruning
 		{"-tax", "/nonexistent", "-db", db},           // missing file
 		{"-tax", tax, "-db", db, "-minsup", "0.1,0.1,0.1", "-strategy", "bogus"},
+		{"-tax", tax, "-db", db, "-minsup", "0.1,0.1,0.1", "-strategy", "tidlist"}, // retired backend
 	}
 	for _, args := range cases {
 		if err := exec.Command(bin, args...).Run(); err == nil {

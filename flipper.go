@@ -104,9 +104,7 @@ const (
 const (
 	// CountScan probes candidates with transaction subsets (paper-faithful).
 	CountScan = core.CountScan
-	// CountTIDList intersects per-item transaction-ID lists.
-	CountTIDList = core.CountTIDList
-	// CountAuto picks scan, tidlist or bitmap per cell with a cost model.
+	// CountAuto picks scan or bitmap per cell with a cost model.
 	CountAuto = core.CountAuto
 	// CountBitmap ANDs per-item bit vectors and pop-counts the result.
 	CountBitmap = core.CountBitmap
@@ -273,6 +271,6 @@ func ParseMeasure(name string) (Measure, error) { return measure.Parse(name) }
 // "flipping+tpg", "full").
 func ParsePruningLevel(name string) (PruningLevel, error) { return core.ParsePruningLevel(name) }
 
-// ParseCountStrategy resolves a counting strategy name ("scan", "tidlist",
-// "bitmap", "auto").
+// ParseCountStrategy resolves a counting strategy name ("scan", "bitmap",
+// "auto").
 func ParseCountStrategy(name string) (CountStrategy, error) { return core.ParseCountStrategy(name) }

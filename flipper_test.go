@@ -72,7 +72,7 @@ func TestQuickstart(t *testing.T) {
 		t.Errorf("stats transactions = %d", res.Stats.Transactions)
 	}
 	// Every counting backend finds the same single pattern.
-	for _, strategy := range []flipper.CountStrategy{flipper.CountTIDList, flipper.CountBitmap, flipper.CountAuto} {
+	for _, strategy := range []flipper.CountStrategy{flipper.CountBitmap, flipper.CountAuto} {
 		cfg := toyConfig()
 		cfg.Strategy = strategy
 		res, err := flipper.Mine(db, tree, cfg)
@@ -154,9 +154,15 @@ func TestParsers(t *testing.T) {
 	if _, err := flipper.ParsePruningLevel("full"); err != nil {
 		t.Error(err)
 	}
-	for _, name := range []string{"scan", "tidlist", "bitmap", "auto"} {
+	for _, name := range []string{"scan", "bitmap", "auto"} {
 		if _, err := flipper.ParseCountStrategy(name); err != nil {
 			t.Error(err)
+		}
+	}
+	// The tid-list backend is retired; its names are unknown strategies.
+	for _, name := range []string{"tidlist", "tid"} {
+		if _, err := flipper.ParseCountStrategy(name); err == nil {
+			t.Errorf("retired strategy %q accepted", name)
 		}
 	}
 	if _, err := flipper.ParseMeasure("nope"); err == nil {

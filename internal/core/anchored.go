@@ -16,18 +16,20 @@ import (
 // per-item bottom-k sketches (internal/sketch) before every exact support
 // count: a candidate whose sketch bracket proves it infrequent, unable to
 // carry the required label, or unable to beat the current K-th best gap is
-// dropped without touching the tid lists. Because every prune is justified
-// by a one-sided bound, guaranteed mode returns exactly what filtering the
-// full exact mine would; best-effort mode additionally trusts the sketch
-// point estimates and reports a per-pattern Confidence instead.
+// dropped without an exact count on the level's bitmap index. Because every
+// prune is justified by a one-sided bound, guaranteed mode returns exactly
+// what filtering the full exact mine would; best-effort mode additionally
+// trusts the sketch point estimates and reports a per-pattern Confidence
+// instead.
 
 // ErrUnknownAnchor reports an anchored run whose Config.Anchor names no item
 // in the taxonomy.
 var ErrUnknownAnchor = errors.New("core: unknown anchor item")
 
 // mineAnchored runs anchored top-K search. Materialized runs use the
-// sketch-pruned DFS; streaming runs have no tid lists to sketch, so they
-// fall back to the exact full mine plus a chain filter.
+// sketch-pruned DFS, which fails if building the sketches fails; streaming
+// runs have no bitmap index for exact supports, so they fall back to the
+// exact full mine plus a chain filter.
 func (m *miner) mineAnchored() ([]Pattern, error) {
 	anchor, ok := m.tax.Dict().Lookup(m.cfg.Anchor)
 	if !ok || !m.tax.Contains(anchor) {
@@ -59,6 +61,10 @@ func (m *miner) mineAnchored() ([]Pattern, error) {
 		return kept, nil
 	}
 
+	sk, err := m.sketchSet()
+	if err != nil {
+		return nil, err
+	}
 	a := &anchoredSearch{
 		m:       m,
 		anchor:  anchor,
@@ -66,7 +72,7 @@ func (m *miner) mineAnchored() ([]Pattern, error) {
 		la:      la,
 		topK:    topK,
 		bestEff: bestEff,
-		sk:      m.sketchSet(),
+		sk:      sk,
 	}
 	a.run()
 	pats := rankAnchored(a.patterns, topK)
@@ -101,8 +107,7 @@ type anchoredSearch struct {
 	topK    int
 	bestEff bool
 
-	sk  *sketch.Set
-	scr tidScratch
+	sk *sketch.Set
 
 	path     []LevelInfo // chain of the current DFS branch, levels 1..h
 	patterns []Pattern
@@ -175,7 +180,7 @@ func (a *anchoredSearch) extend(cur itemset.Set, others []itemset.ID, idx int) {
 // resolveRoot returns the support of a level-1 root set, or pruned=true
 // when the sketch shows (guaranteed) or estimates (best-effort) that it is
 // infrequent. A bracket that pins the support exactly is used directly;
-// only ambiguous brackets fall back to an exact tid-list intersection.
+// only ambiguous brackets fall back to an exact count.
 func (a *anchoredSearch) resolveRoot(cand itemset.Set) (sup int64, pruned bool) {
 	m := a.m
 	m.stats.SketchProbes++
@@ -396,15 +401,17 @@ func (a *anchoredSearch) boundAt(items itemset.Set, h int) sketch.Bound {
 	return lv.Bound(items)
 }
 
-// exactSupport is the fallback exact count: a k-way tid-list intersection
-// per shard, summed.
+// exactSupport is the fallback exact count: the candidate's support on
+// each shard's bitmap index at level h, summed.
 func (a *anchoredSearch) exactSupport(items itemset.Set, h int) int64 {
 	m := a.m
 	m.stats.ExactFallbacks++
 	m.stats.CandidatesCounted++
+	vecs := m.sc.vecsFor(1, len(items))[0]
 	var sup int64
-	for _, l := range m.tidLists(h) {
-		sup += intersectSupport(items, l.tid, &a.scr)
+	for _, l := range m.bitmapLevel(h) {
+		n, _ := l.bm.SupportInto(items, vecs)
+		sup += n
 	}
 	return sup
 }

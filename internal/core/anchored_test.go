@@ -61,7 +61,7 @@ func TestAnchoredTopKMatchesExact(t *testing.T) {
 		trials = 2
 	}
 	shardCounts := []int{1, 2, 7}
-	strategies := []CountStrategy{CountScan, CountTIDList, CountBitmap, CountAuto}
+	strategies := []CountStrategy{CountScan, CountBitmap, CountAuto}
 	anchors := []string{"c0", "c1.0", "c0.1.1"} // level 1, 2 and leaf anchors
 	for trial := 0; trial < trials; trial++ {
 		db, tree := randomDataset(rng)

@@ -79,21 +79,16 @@ const (
 	// (level-view of the) database per cell, probing a candidate hash table
 	// with the k-subsets of each transaction.
 	CountScan CountStrategy = iota
-	// CountTIDList intersects per-item transaction-ID lists (Eclat-style);
-	// an ablation showing the trade-off the paper leaves to future work.
-	CountTIDList
-	// CountAuto chooses between scan, tid-list and bitmap per cell with a
-	// simple cost model: scans pay one subset enumeration per distinct
-	// transaction, tid-lists pay one k-way sorted intersection per
-	// candidate, bitmaps pay k words per 64 distinct transactions per
-	// candidate (plus a one-time per-level build). Scans win when candidates
-	// dwarf the database, tid-lists when a few candidates face sparse
-	// lists, bitmaps when many candidates face a dense level.
+	// CountAuto chooses between scan and bitmap per cell with a simple cost
+	// model: scans pay one subset enumeration per distinct transaction,
+	// bitmaps pay k words per 64 distinct transactions per candidate (plus
+	// a one-time per-level build). Scans win when candidates dwarf the
+	// database, bitmaps when many candidates face a dense level.
 	CountAuto
 	// CountBitmap ANDs per-item bit vectors over the distinct weighted
-	// transactions of the level view and pop-counts the result against the
+	// transactions of the level and pop-counts the result against the
 	// weight vector. Vectors are built lazily per level and cached on the
-	// miner.
+	// engine.
 	CountBitmap
 )
 
@@ -101,8 +96,6 @@ func (s CountStrategy) String() string {
 	switch s {
 	case CountScan:
 		return "scan"
-	case CountTIDList:
-		return "tidlist"
 	case CountAuto:
 		return "auto"
 	case CountBitmap:
@@ -117,8 +110,6 @@ func ParseCountStrategy(s string) (CountStrategy, error) {
 	switch s {
 	case "scan":
 		return CountScan, nil
-	case "tidlist", "tid":
-		return CountTIDList, nil
 	case "auto":
 		return CountAuto, nil
 	case "bitmap", "bits":
@@ -169,7 +160,8 @@ type Config struct {
 	// Materialize keeps per-level generalized views of the database in
 	// memory (with duplicate transactions merged). Disable to stream from
 	// the source on every scan, trading time for memory — the paper's
-	// disk-resident mode. CountTIDList requires materialized views.
+	// disk-resident mode. CountBitmap and CountAuto require materialized
+	// views.
 	Materialize bool `json:"materialize"`
 	// KeepCellStats records per-cell statistics in the result.
 	KeepCellStats bool `json:"keep_cell_stats,omitempty"`
@@ -199,8 +191,8 @@ type Config struct {
 	AnchorMode string `json:"anchor_mode,omitempty"`
 	// SketchK is the per-item bottom-k signature size anchored search probes
 	// (0 = sketch.DefaultK). Larger sketches bound supports tighter — once
-	// every tid list fits, the bounds are exact and best-effort loses
-	// nothing — at ~8 bytes per item per k of memory.
+	// k reaches every item's support, the bounds are exact and best-effort
+	// loses nothing — at ~8 bytes per item per k of memory.
 	SketchK int `json:"sketch_k,omitempty"`
 }
 

@@ -10,10 +10,9 @@ import (
 )
 
 // count fills in the support of every candidate in the cell with one pass
-// over the data, one set of tid-list intersections, or one batch of bitmap
-// AND+popcounts. The cell's trie is frozen here (CSR spans and the
-// item-membership bitset filled), after which the store is safe for
-// concurrent readers.
+// over the data or one batch of bitmap AND+popcounts. The cell's trie is
+// frozen here (CSR spans and the item-membership bitset filled), after
+// which the store is safe for concurrent readers.
 func (m *miner) count(c *cell) {
 	m.stats.DBScans++
 	m.stats.TrieNodes += int64(c.store.NodeCount())
@@ -31,8 +30,6 @@ func (m *miner) count(c *cell) {
 	switch {
 	case !m.cfg.Materialize:
 		m.countStreaming(c)
-	case strategy == CountTIDList:
-		m.countTID(c)
 	case strategy == CountBitmap:
 		m.countBitmap(c)
 	default:
@@ -41,28 +38,24 @@ func (m *miner) count(c *cell) {
 }
 
 // scanProbeWeight converts one scan probe (one subset reached by trie
-// descent) into the model's base unit — one sequential word/element
-// operation, which is what a tid-list merge step and a bitmap AND both
-// cost. The trie store cut the probe from a key build plus a string-map
-// lookup (~8 units pre-PR3) to a handful of node/item comparisons;
-// recalibrated on BenchmarkCountingDense (~12ns per probed subset vs ~5ns
-// per word op on a 2.1GHz Xeon). The C(w,k) term stays an upper bound:
-// descent abandons subsets with no candidate prefix early, so dense cells
-// overestimate scan cost slightly and the model errs toward the vertical
-// backends exactly where they win.
+// descent) into the model's base unit — one sequential word operation,
+// which is what a bitmap AND costs. The trie store cut the probe from a key
+// build plus a string-map lookup (~8 units pre-PR3) to a handful of
+// node/item comparisons; recalibrated on BenchmarkCountingDense (~12ns per
+// probed subset vs ~5ns per word op on a 2.1GHz Xeon). The C(w,k) term
+// stays an upper bound: descent abandons subsets with no candidate prefix
+// early, so dense cells overestimate scan cost slightly and the model errs
+// toward the bitmap backend exactly where it wins.
 const scanProbeWeight = 2.5
 
 // chooseStrategy is the CountAuto cost model, in units of one sequential
-// word/element operation. Scan cost: every distinct transaction explores at
-// most C(w, k) subsets by trie descent, each worth scanProbeWeight units.
-// Tid-list cost: every candidate intersects k sorted lists whose combined
-// length averages k·(level volume / level item count). Bitmap cost: every
-// candidate ANDs k vectors of ⌈distinct/64⌉ words, plus a one-time
-// per-level build of one word-vector per item. Scans win when candidates
-// dwarf the database (their cost is candidate-independent), tid-lists win
-// when a few candidates face sparse lists, and bitmaps win when a high
-// candidate count meets a dense level — many probes amortizing the
-// fixed-width vectors.
+// word operation. Scan cost: every distinct transaction explores at most
+// C(w, k) subsets by trie descent, each worth scanProbeWeight units. Bitmap
+// cost: every candidate ANDs k vectors of ⌈distinct/64⌉ words, plus a
+// one-time per-level build of one word-vector per item. Scans win when
+// candidates dwarf the database (their cost is candidate-independent), and
+// bitmaps win when a high candidate count meets a dense level — many
+// probes amortizing the fixed-width vectors.
 //
 // Sharding enters the model in two places. The per-candidate merge of
 // partial vectors costs every backend the same additions, so it cancels out
@@ -93,20 +86,15 @@ func (m *miner) chooseStrategy(c *cell) CountStrategy {
 	// the level's transaction count is m.n regardless of sharding.
 	avgWidth := float64(volume) / float64(m.n)
 	scanCost := scanProbeWeight * float64(distinct) * float64(itemset.Binomial(int(avgWidth+1), c.k))
-	tidCost := float64(c.candidates) * float64(c.k) * float64(volume) / float64(items)
 	words := float64(bitmap.Words(distinct) + len(m.ds.shards) - 1) // per-shard word rounding
 	bitCost := float64(c.candidates) * float64(c.k) * words
 	if !m.bmBuilt[c.h] {
 		bitCost += float64(items) * words // the build pass, paid once per run
 	}
-	best, cost := CountScan, scanCost
-	if tidCost < cost {
-		best, cost = CountTIDList, tidCost
+	if bitCost < scanCost {
+		return CountBitmap
 	}
-	if bitCost < cost {
-		best = CountBitmap
-	}
-	return best
+	return CountScan
 }
 
 // fanOut runs one counting pass of cell c as work units over a bounded
@@ -235,9 +223,9 @@ func scanUnit(c *cell, f *flatLevel, part, per int, counts []int64, done <-chan 
 }
 
 // cancelCheckMask sets the granularity of per-candidate cancellation polls
-// in the tid-list and bitmap backends: one poll every 256 candidates costs
-// one AND+branch per candidate against work that is orders of magnitude
-// larger (a k-way list intersection or k vector ANDs).
+// in the bitmap backend: one poll every 256 candidates costs one AND+branch
+// per candidate against work that is orders of magnitude larger (k vector
+// ANDs).
 const cancelCheckMask = 255
 
 // scanBlock is the transaction-block granularity of scan units: their
@@ -308,28 +296,6 @@ func streamCount(c *cell, src txdb.Source, tax *taxonomy.Tree, counts []int64, d
 	return pruned, err
 }
 
-// countTID counts by intersecting per-item transaction-ID lists, building
-// the level's lists on first use. Units are candidate ranges of one shard,
-// read straight off the cell's slab; a candidate's support is the sum of
-// its per-shard intersection sizes, because each shard's lists index
-// disjoint transactions.
-func (m *miner) countTID(c *cell) {
-	lv := m.tidLists(c.h)
-	st := c.store
-	per := m.unitsPerShard()
-	scratches := m.sc.tidScratchFor(m.cfg.workers())
-	m.fanOut(c, per, func(w, s, part int, counts []int64) (int64, error) {
-		lo, hi := span(st.Len(), per, part, 1)
-		for e := lo; e < hi; e++ {
-			if e&cancelCheckMask == 0 && m.cancelled() {
-				break
-			}
-			counts[e] += intersectSupport(st.Items(int32(e)), lv[s].tid, &scratches[w])
-		}
-		return 0, nil
-	})
-}
-
 // countBitmap counts by AND-ing per-item bit vectors over the distinct
 // weighted transactions of each shard. Units are candidate ranges of one
 // shard; per-shard supports sum exactly, and per-shard word-op counts
@@ -355,16 +321,31 @@ func (m *miner) countBitmap(c *cell) {
 	m.stats.BitmapWordOps += ops
 }
 
-// bitmapIndexes returns the level's shards with their per-item bit vectors
+// bitmapIndexes returns the level's shards with their bitmap indexes built
+// (bitmapLevel) for the bitmap counting backend, and accounts the build in
+// the run's logical flags: Stats.BitmapBuilds counts one build per shard
+// on the first use per level per run, cached or not.
+func (m *miner) bitmapIndexes(h int) []shardLevel {
+	lv := m.bitmapLevel(h)
+	if !m.bmBuilt[h] {
+		m.bmBuilt[h] = true
+		m.stats.BitmapBuilds += int64(len(lv))
+	}
+	return lv
+}
+
+// bitmapLevel returns the level's shards with their per-item bit vectors
 // built — over each shard's flat arena of deduplicated weighted
 // transactions, on first use by any run of the engine, by a bounded worker
-// pool over the shards — and cached in the dataset state.
-// Stats.BitmapBuilds follows the run's logical flags: the first use per
-// level per run counts one build per shard, cached or not.
-func (m *miner) bitmapIndexes(h int) []shardLevel {
+// pool over the shards — and cached in the dataset state. It charges
+// nothing to the run: bitmap counting accounts builds through
+// bitmapIndexes, while anchored exact supports share the index unaccounted,
+// so BitmapBuilds and BitmapWordOps stay counting-backend counters.
+func (m *miner) bitmapLevel(h int) []shardLevel {
 	ds := m.ds
 	lv := ds.levels[h]
 	ds.mu.Lock()
+	defer ds.mu.Unlock()
 	if lv[0].bm == nil {
 		txdb.ForEachShard(boundWorkers(&m.cfg, len(lv)), len(lv), func(_, s int) {
 			f := &lv[s].flat
@@ -375,89 +356,5 @@ func (m *miner) bitmapIndexes(h int) []shardLevel {
 			lv[s].bm = bitmap.Build(txs, f.weights)
 		})
 	}
-	ds.mu.Unlock()
-	if !m.bmBuilt[h] {
-		m.bmBuilt[h] = true
-		m.stats.BitmapBuilds += int64(len(lv))
-	}
 	return lv
-}
-
-// tidLists returns the level's shards with their per-item transaction-ID
-// lists built — on first use by any run of the engine, by a bounded worker
-// pool over the shards — and cached in the dataset state.
-func (m *miner) tidLists(h int) []shardLevel {
-	ds := m.ds
-	lv := ds.levels[h]
-	ds.mu.Lock()
-	defer ds.mu.Unlock()
-	if lv[0].tid == nil {
-		txdb.ForEachShard(boundWorkers(&m.cfg, len(lv)), len(lv), func(_, s int) {
-			lists := make(map[itemset.ID][]int32)
-			for ti, tx := range lv[s].view.Tx {
-				for _, id := range tx {
-					lists[id] = append(lists[id], int32(ti))
-				}
-			}
-			lv[s].tid = lists
-		})
-	}
-	return lv
-}
-
-// tidScratch is one tid-list worker's reusable state: the two alternating
-// intersection targets plus the length-ordered list-of-lists, hoisted out
-// of intersectSupport so the per-candidate loop allocates nothing.
-type tidScratch struct {
-	bufs    [2][]int32
-	ordered [][]int32
-}
-
-// intersectSupport returns the size of the k-way intersection of the items'
-// tid lists, intersecting smallest-first for early exit. The scratch buffers
-// alternate as intersection targets so the map-owned lists are never
-// written to.
-func intersectSupport(items itemset.Set, lists map[itemset.ID][]int32, s *tidScratch) int64 {
-	ordered := s.ordered[:0]
-	for _, id := range items {
-		l := lists[id]
-		if len(l) == 0 {
-			return 0
-		}
-		ordered = append(ordered, l)
-	}
-	s.ordered = ordered // retain the (possibly regrown) backing array
-	// Selection sort by length; k is tiny.
-	for i := range ordered {
-		min := i
-		for j := i + 1; j < len(ordered); j++ {
-			if len(ordered[j]) < len(ordered[min]) {
-				min = j
-			}
-		}
-		ordered[i], ordered[min] = ordered[min], ordered[i]
-	}
-	cur := ordered[0] // borrowed from the map; read-only
-	for step, next := range ordered[1:] {
-		dst := s.bufs[step%2][:0]
-		i, j := 0, 0
-		for i < len(cur) && j < len(next) {
-			switch {
-			case cur[i] < next[j]:
-				i++
-			case cur[i] > next[j]:
-				j++
-			default:
-				dst = append(dst, cur[i])
-				i++
-				j++
-			}
-		}
-		s.bufs[step%2] = dst
-		cur = dst
-		if len(cur) == 0 {
-			return 0
-		}
-	}
-	return int64(len(cur))
 }

@@ -5,79 +5,12 @@ import (
 	"math/rand"
 	"testing"
 
+	"github.com/flipper-mining/flipper/internal/bitmap"
 	"github.com/flipper-mining/flipper/internal/itemset"
 	"github.com/flipper-mining/flipper/internal/measure"
 	"github.com/flipper-mining/flipper/internal/taxonomy"
 	"github.com/flipper-mining/flipper/internal/txdb"
 )
-
-func TestIntersectSupport(t *testing.T) {
-	lists := map[itemset.ID][]int32{
-		1: {0, 2, 4, 6, 8},
-		2: {2, 3, 4, 8, 9},
-		3: {4, 8},
-		4: {},
-	}
-	var scratch tidScratch
-	cases := []struct {
-		items itemset.Set
-		want  int64
-	}{
-		{itemset.New(1), 5},
-		{itemset.New(1, 2), 3}, // {2,4,8}
-		{itemset.New(1, 2, 3), 2},
-		{itemset.New(1, 4), 0},    // empty list
-		{itemset.New(1, 2, 9), 0}, // missing item entirely
-	}
-	for _, c := range cases {
-		if got := intersectSupport(c.items, lists, &scratch); got != c.want {
-			t.Errorf("intersect(%v) = %d, want %d", c.items, got, c.want)
-		}
-	}
-	// The map-owned lists must be untouched after repeated calls.
-	if len(lists[1]) != 5 || lists[1][0] != 0 || lists[2][4] != 9 {
-		t.Error("intersectSupport mutated the tid lists")
-	}
-}
-
-func TestIntersectSupportRandomAgainstMap(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	for trial := 0; trial < 200; trial++ {
-		lists := map[itemset.ID][]int32{}
-		k := 2 + rng.Intn(3)
-		items := make([]itemset.ID, k)
-		want := map[int32]int{}
-		for i := 0; i < k; i++ {
-			items[i] = itemset.ID(i)
-			n := rng.Intn(30)
-			seen := map[int32]bool{}
-			for j := 0; j < n; j++ {
-				tid := int32(rng.Intn(40))
-				if !seen[tid] {
-					seen[tid] = true
-				}
-			}
-			var l []int32
-			for tid := int32(0); tid < 40; tid++ {
-				if seen[tid] {
-					l = append(l, tid)
-					want[tid]++
-				}
-			}
-			lists[items[i]] = l
-		}
-		expected := int64(0)
-		for _, cnt := range want {
-			if cnt == k {
-				expected++
-			}
-		}
-		var scratch tidScratch
-		if got := intersectSupport(itemset.New(items...), lists, &scratch); got != expected {
-			t.Fatalf("trial %d: got %d, want %d", trial, got, expected)
-		}
-	}
-}
 
 // TestScanTxsTrieDescent exercises the scan counter's hot loop — filter to
 // candidate-relevant items, descend the trie, account pruned probes —
@@ -216,33 +149,77 @@ func TestChooseStrategyPicksBitmapOnDenseCells(t *testing.T) {
 	}
 }
 
-func TestTidListsBuiltLazilyOnce(t *testing.T) {
+// TestBitmapIndexBuiltLazilyOnce: each level's bitmap index is built once,
+// on first use by either bitmap counting or an anchored exact fallback, and
+// later users share it. Only bitmap counting accounts the build: an
+// anchored run reports no bitmap builds or word ops, and a CountBitmap run
+// after it on the same engine reports what it reports on a fresh engine.
+func TestBitmapIndexBuiltLazilyOnce(t *testing.T) {
 	db, tree := paperToy(t)
-	cfg := toyConfig()
-	minSup, err := cfg.validate(tree.Height(), db.Len())
+	m := newTestMiner(t, db, tree, toyConfig())
+	first := m.bitmapLevel(1)[0].bm
+	if m.stats.BitmapBuilds != 0 {
+		t.Errorf("bitmapLevel charged %d builds to the run", m.stats.BitmapBuilds)
+	}
+	if got := m.bitmapIndexes(1)[0].bm; got != first {
+		t.Error("bitmap counting rebuilt the index instead of sharing it")
+	}
+	if m.stats.BitmapBuilds != 1 {
+		t.Errorf("bitmap counting's first use charged %d builds, want 1", m.stats.BitmapBuilds)
+	}
+	a, _ := tree.Dict().Lookup("a")
+	if sup, _ := first.Support(itemset.New(a)); sup != 8 {
+		t.Errorf("support of 'a' at level 1 = %d, want 8", sup)
+	}
+
+	rng := rand.New(rand.NewSource(3))
+	db2, tree2 := randomDataset(rng)
+	base := Config{
+		Measure: measure.Kulczynski, Gamma: 0.3, Epsilon: 0.1,
+		MinSupAbs: []int64{2, 1, 1}, Materialize: true,
+	}
+	eng := NewEngine(db2, tree2)
+	anchored := base
+	anchored.Anchor, anchored.AnchorTopK = "c0", 5
+	anchored.SketchK = 1 // one-hash signatures leave most supports to exact fallbacks
+	res, err := eng.Mine(anchored)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := &miner{
-		cfg: toyConfig(), tax: tree, src: db,
-		height: tree.Height(), n: db.Len(), minSup: minSup,
+	if res.Stats.ExactFallbacks == 0 {
+		t.Fatal("the anchored run made no exact fallback")
 	}
-	if err := m.init(); err != nil {
+	if res.Stats.BitmapBuilds != 0 || res.Stats.BitmapWordOps != 0 {
+		t.Errorf("anchored run reports bitmap_builds %d, bitmap_word_ops %d; want 0, 0",
+			res.Stats.BitmapBuilds, res.Stats.BitmapWordOps)
+	}
+	ds := eng.data[dataKey{materialize: true, shards: 1}]
+	shared := make(map[int]*bitmap.Index)
+	for h := 1; h <= tree2.Height(); h++ {
+		if bm := ds.levels[h][0].bm; bm != nil {
+			shared[h] = bm
+		}
+	}
+	if len(shared) == 0 {
+		t.Fatal("anchored exact fallbacks built no bitmap index")
+	}
+	counting := base
+	counting.Strategy = CountBitmap
+	fresh, err := NewEngine(db2, tree2).Mine(counting)
+	if err != nil {
 		t.Fatal(err)
 	}
-	l1 := m.tidLists(1)[0].tid
-	l2 := m.tidLists(1)[0].tid
-	if &l1 == &l2 {
-		// maps compare by header; check identity via a sentinel instead
-		t.Log("map headers differ; asserting cache below")
+	warm, err := eng.Mine(counting)
+	if err != nil {
+		t.Fatal(err)
 	}
-	a, _ := tree.Dict().Lookup("a")
-	if len(l1[a]) != 8 {
-		t.Errorf("tidlist of 'a' at level 1 has %d entries, want 8", len(l1[a]))
+	if warm.Stats.BitmapBuilds != fresh.Stats.BitmapBuilds || warm.Stats.BitmapWordOps != fresh.Stats.BitmapWordOps {
+		t.Errorf("bitmap run after an anchored one: builds %d, word ops %d; fresh engine: %d, %d",
+			warm.Stats.BitmapBuilds, warm.Stats.BitmapWordOps, fresh.Stats.BitmapBuilds, fresh.Stats.BitmapWordOps)
 	}
-	// Mutate the cached map; a second call must return the same cache.
-	l1[a] = nil
-	if got := m.tidLists(1)[0].tid; got[a] != nil {
-		t.Error("tidLists rebuilt instead of cached")
+	for h, bm := range shared {
+		if ds.levels[h][0].bm != bm {
+			t.Errorf("level %d: bitmap counting rebuilt the anchored run's index", h)
+		}
 	}
 }

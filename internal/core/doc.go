@@ -62,30 +62,33 @@ patterns}, keeping the miner complete; the randomized equivalence suite
 Candidates live in a trie-indexed slab store (internal/candtrie): items in
 one arena, supports in one slice, and a prefix trie over item IDs indexing
 both. CountScan is the paper's strategy: one sequential pass per cell.
-Per-level views are materialized once and deduplicated
-(txdb.LevelView.Dedup) — generalization collapses many raw transactions
-onto few distinct ones, so upper rows count over tiny weighted sets. Each
+Per-level views are materialized once, deduplicated
+(txdb.LevelView.Dedup) into flat weighted arenas and then dropped —
+generalization collapses many raw transactions onto few distinct ones, so
+upper rows count over tiny weighted sets. Each
 transaction is filtered to candidate-relevant items and walked down the
 trie (candtrie.Store.CountTx): only subsets sharing a prefix with some
 candidate are ever enumerated, and no key bytes or map probes appear in
 the inner loop (Stats.ProbesPruned counts what the descent skipped). Work
 is fanned out over Config.Parallelism workers that merge plain int64 count
 slices. With Config.Materialize=false the engine instead re-reads the
-Source every pass — the paper's disk-resident mode. CountTIDList
-intersects per-item transaction-id lists, CountBitmap ANDs per-item bit
-vectors over the distinct weighted transactions and pop-counts the result
-(internal/bitmap; vectors are built lazily per level and cached, like the
-tid lists) — both iterate the candidate slab directly. CountAuto picks per
-cell using a three-way cost estimate in word-operation units (a trie scan
-probe is calibrated as 2.5 of those; see chooseStrategy).
+Source every pass — the paper's disk-resident mode. CountBitmap ANDs
+per-item bit vectors over the distinct weighted transactions and
+pop-counts the result (internal/bitmap; vectors are built lazily per level
+and cached), iterating the candidate slab directly. The bitmap index is
+the engine's one vertical index: anchored top-K search counts its exact
+fallback supports on it too, without charging the build to the run's
+bitmap counters. CountAuto picks per cell using a two-way scan-vs-bitmap
+cost estimate in word-operation units (a trie scan probe is calibrated as
+2.5 of those; see chooseStrategy).
 
 Every backend runs through one pipeline (fanOut). The database is a list
 of contiguous transaction shards — one shard when unsharded; more from
-Config.Shards or a txdb.ShardedSource — and each shard keeps its own level
-views, flat arenas, tid lists and bitmap index, built concurrently. A
-counting pass splits each of the S shards into ⌈W/S⌉ work units for W =
-Config.Parallelism workers: scanBlock-aligned transaction ranges for scan,
-candidate ranges for tid-lists and bitmaps, whole shards when streaming.
+Config.Shards or a txdb.ShardedSource — and each shard keeps its own flat
+arenas and bitmap index, built concurrently. A counting pass splits each
+of the S shards into ⌈W/S⌉ work units for W = Config.Parallelism workers:
+scanBlock-aligned transaction ranges for scan, candidate ranges for
+bitmaps, whole shards when streaming.
 A bounded pool (txdb.ForEachShard) runs the units, each worker summing
 into a private partial support vector, and mergePartials folds the
 partials into the slab. With S = 1 that is a range fan-out over the whole

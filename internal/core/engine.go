@@ -25,12 +25,11 @@ type Result struct {
 }
 
 // Engine mines one source/taxonomy pair repeatedly, caching everything that
-// depends only on the dataset — materialized level views, deduplicated
-// weighted transactions in flat scan arenas, and the lazily built tid
-// lists and bitmap indexes, all kept per transaction shard (an unsharded
-// dataset is one shard) — across Mine calls, plus a pool of per-run
-// scratch (candidate stores, counting buffers, chain arenas) so repeated
-// runs stop paying full allocation.
+// depends only on the dataset — deduplicated weighted transactions in flat
+// scan arenas and the lazily built bitmap indexes, all kept per level and
+// transaction shard (an unsharded dataset is one shard) — across Mine
+// calls, plus a pool of per-run scratch (candidate stores, counting
+// buffers, chain arenas) so repeated runs stop paying full allocation.
 //
 // Cached state is keyed by the parts of the configuration that shape it
 // (Materialize and the resolved shard count); every other knob varies freely
@@ -70,8 +69,9 @@ func (e *Engine) sketchFile() string {
 }
 
 // NewEngine returns an engine over the source and taxonomy. The source and
-// tree must not be mutated while the engine is in use — cached level views
-// and indexes alias their storage.
+// tree must not be mutated while the engine is in use — cached state is
+// derived from them, and streaming counts and sketch builds re-read the
+// source.
 func NewEngine(src txdb.Source, tree *taxonomy.Tree) *Engine {
 	return &Engine{src: src, tree: tree, data: make(map[dataKey]*dataState)}
 }
@@ -87,8 +87,8 @@ type dataKey struct {
 // dataState is the dataset-derived state of one (materialize, shards)
 // representation. The base fields are built once under buildMu — a build
 // abandoned by a cancelled run leaves built unset, so the next run rebuilds
-// — and are read-only afterwards; the tid lists and bitmap indexes build
-// lazily under mu on first use by any run and are then shared read-only.
+// — and are read-only afterwards; the bitmap indexes build lazily under mu
+// on first use by any run and are then shared read-only.
 type dataState struct {
 	buildMu sync.Mutex
 	built   bool
@@ -104,14 +104,12 @@ type dataState struct {
 	sketches map[int]*sketch.Set // anchored-search sketches by signature size
 }
 
-// shardLevel is one shard's share of one materialized level: its
-// generalized transactions (which the tid lists index), the flat scan
-// arena of their deduplicated weighted form (which the scan kernel walks
-// and the bitmap index is built from), and the two lazily built indexes.
+// shardLevel is one shard's share of one materialized level: the flat scan
+// arena of its deduplicated weighted transactions (which the scan kernel
+// walks and the bitmap index is built from) and the lazily built bitmap
+// index.
 type shardLevel struct {
-	view *txdb.LevelView
 	flat flatLevel
-	tid  map[itemset.ID][]int32
 	bm   *bitmap.Index
 }
 
@@ -172,12 +170,14 @@ func (e *Engine) dataFor(ctx context.Context, cfg Config) (*dataState, error) {
 }
 
 // build materializes every shard's level views — all levels of a shard in
-// one pass, the shards concurrently over a bounded worker pool, then each
-// level's per-shard dedup and flat arena the same way — or, for the
-// streaming representation, runs the single-support pass. Parallelism of
-// the build follows the triggering run's configuration; the built state is
-// identical either way. The materializing scans, the per-level dedup and
-// the streaming pass observe ctx.
+// one pass, the shards concurrently over a bounded worker pool — and keeps
+// each level's per-shard dedup as a flat arena, built the same way, plus
+// the level's single supports and width; the views themselves are dropped
+// once deduplicated. For the streaming representation it runs the
+// single-support pass instead. Parallelism of the build follows the
+// triggering run's configuration; the built state is identical either way.
+// The materializing scans, the per-level dedup and the streaming pass
+// observe ctx.
 func (ds *dataState) build(ctx context.Context, tax *taxonomy.Tree, cfg Config) error {
 	H := tax.Height()
 	workers := boundWorkers(&cfg, len(ds.shards))
@@ -197,24 +197,26 @@ func (ds *dataState) build(ctx context.Context, tax *taxonomy.Tree, cfg Config) 
 		}
 		lv := make([]shardLevel, len(shardViews))
 		txdb.ForEachShard(workers, len(lv), func(_, s int) {
-			view := shardViews[s][h]
-			lv[s] = shardLevel{view: view, flat: flatten(view.Dedup())}
+			lv[s].flat = flatten(shardViews[s][h].Dedup())
 		})
 		ds.levels[h] = lv
 		// The shards' per-item supports sum — and their widths max — to
 		// exactly the unsharded view's values, because generalization is
 		// per-transaction; a lone shard's map is the level's as is.
-		sup, width := lv[0].view.Support, lv[0].view.MaxWidth
+		sup, width := shardViews[0][h].Support, shardViews[0][h].MaxWidth
 		if len(lv) > 1 {
 			sup = make(map[itemset.ID]int64)
-			for _, l := range lv {
-				width = max(width, l.view.MaxWidth)
-				for id, n := range l.view.Support {
+			for _, views := range shardViews {
+				width = max(width, views[h].MaxWidth)
+				for id, n := range views[h].Support {
 					sup[id] += n
 				}
 			}
 		}
 		ds.sup1[h], ds.widths[h] = sup, width
+		for _, views := range shardViews {
+			views[h] = nil // garbage once deduplicated into the flat arena
+		}
 	}
 	return nil
 }
@@ -300,7 +302,7 @@ func initScans(cfg *Config, height int) int64 {
 // arena with parallel start offsets and weights. The scan counter walks the
 // arena sequentially, so a block of transactions streams through L1/L2
 // while the candidate trie's CSR slabs stay resident — no per-transaction
-// pointer chasing into view storage.
+// pointer chasing into per-transaction item slices.
 type flatLevel struct {
 	items   []itemset.ID
 	starts  []int32 // len = n()+1; tx t is items[starts[t]:starts[t+1]]
@@ -337,7 +339,6 @@ type runScratch struct {
 	sups     []int64         // finishCell single-support scratch
 	partials [][]int64       // per-worker counting buffers, zeroed on checkout
 	vecs     [][]bitmap.Vector
-	tidScr   []tidScratch
 	cand     []itemset.ID // candidate canonicalization buffer
 }
 
@@ -404,14 +405,6 @@ func (sc *runScratch) vecsFor(workers, k int) [][]bitmap.Vector {
 		out[w] = out[w][:k]
 	}
 	return out
-}
-
-// tidScratchFor returns `workers` tid-list intersection scratches.
-func (sc *runScratch) tidScratchFor(workers int) []tidScratch {
-	for len(sc.tidScr) < workers {
-		sc.tidScr = append(sc.tidScr, tidScratch{})
-	}
-	return sc.tidScr[:workers]
 }
 
 // entryMeta is the engine-side metadata of one candidate slab entry. Items
@@ -555,7 +548,7 @@ type miner struct {
 //
 // Mine builds a single-use Engine; callers mining the same dataset
 // repeatedly should hold one Engine and call its Mine method, which reuses
-// level views, bitmap indexes and counting arenas across runs.
+// flat level arenas, bitmap indexes and counting arenas across runs.
 func Mine(src txdb.Source, tree *taxonomy.Tree, cfg Config) (*Result, error) {
 	return (&Engine{src: src, tree: tree, data: make(map[dataKey]*dataState)}).Mine(cfg)
 }
@@ -590,8 +583,9 @@ var errCancelled = fmt.Errorf("core: run cancelled")
 // The dataset-state build (level views, dedup, single supports) observes
 // cancellation too: a run cancelled mid-build abandons it without caching
 // anything, and the next run on the engine — including one that was
-// waiting on the abandoned build — builds afresh. The lazily built counting
-// indexes, shared across concurrent runs, are not cancellable.
+// waiting on the abandoned build — builds afresh; so does an anchored
+// run's sketch build. The lazily built bitmap indexes, shared across
+// concurrent runs, are not cancellable.
 func (e *Engine) MineContext(ctx context.Context, cfg Config) (*Result, error) {
 	return e.mineContext(ctx, cfg, nil)
 }
@@ -633,7 +627,7 @@ func (e *Engine) mineContext(ctx context.Context, cfg Config, remote CellCounter
 	switch {
 	case cfg.Anchor != "":
 		patterns, err = m.mineAnchored()
-		if err != nil {
+		if err != nil && ctx.Err() == nil {
 			return nil, err
 		}
 	case cfg.Pruning == Basic:
@@ -675,15 +669,14 @@ func (m *miner) init() error {
 // dataset state for its configuration, checks scratch out of the pool, and
 // computes the per-run level summaries and logical init accounting.
 func (m *miner) bind(e *Engine) error {
-	ctx := m.ctx
-	if ctx == nil {
-		ctx = context.Background()
+	if m.ctx == nil {
+		m.ctx = context.Background()
 	}
 	// Resolve the worker count once, so every pass of the run sizes its
 	// work units, pool and per-worker scratch from the same value even if
 	// GOMAXPROCS changes mid-run.
 	m.cfg.Parallelism = m.cfg.workers()
-	ds, err := e.dataFor(ctx, m.cfg)
+	ds, err := e.dataFor(m.ctx, m.cfg)
 	if err != nil {
 		return err
 	}

@@ -43,7 +43,6 @@ func TestEngineReuseByteIdentical(t *testing.T) {
 		pruning  PruningLevel
 	}{
 		{"scan", CountScan, 0, Full},
-		{"tidlist", CountTIDList, 0, Full},
 		{"bitmap", CountBitmap, 0, Full},
 		{"auto", CountAuto, 0, Full},
 		{"scan-sharded", CountScan, 3, Full},
@@ -82,7 +81,7 @@ func TestEngineReuseMixedConfigs(t *testing.T) {
 	db, tree := paperToy(t)
 	eng := NewEngine(db, tree)
 	rng := rand.New(rand.NewSource(5))
-	strategies := []CountStrategy{CountScan, CountTIDList, CountBitmap, CountAuto}
+	strategies := []CountStrategy{CountScan, CountBitmap, CountAuto}
 	for i := 0; i < 20; i++ {
 		cfg := toyConfig()
 		cfg.Strategy = strategies[rng.Intn(len(strategies))]
@@ -141,16 +140,20 @@ func TestEngineReuseAllocatesLess(t *testing.T) {
 // TestEngineConcurrentMine hammers one engine from many goroutines with a
 // mix of configurations and checks each result against its serial
 // fingerprint — the engine's concurrency contract, exercised under the
-// race detector by the CI race job.
+// race detector by the CI race job. The anchored configurations share the
+// lazily built bitmap index with the bitmap-counted ones.
 func TestEngineConcurrentMine(t *testing.T) {
 	db, tree := paperToy(t)
 	eng := NewEngine(db, tree)
-	cfgs := make([]Config, 8)
+	cfgs := make([]Config, 10)
 	want := make([]string, len(cfgs))
 	for i := range cfgs {
 		cfg := toyConfig()
-		cfg.Strategy = []CountStrategy{CountScan, CountTIDList, CountBitmap, CountAuto}[i%4]
-		cfg.Shards = (i / 4) * 2 // half unsharded, half 2-sharded
+		cfg.Strategy = []CountStrategy{CountScan, CountBitmap, CountAuto}[i%3]
+		cfg.Shards = i % 2 * 2 // unsharded and 2-sharded
+		if i >= 8 {
+			cfg.Anchor, cfg.AnchorTopK, cfg.SketchK = "a1", 3, 1
+		}
 		cfgs[i] = cfg
 		res, err := Mine(db, tree, cfg)
 		if err != nil {

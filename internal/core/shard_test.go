@@ -38,7 +38,7 @@ func TestShardedMiningEquivalence(t *testing.T) {
 		strategy    CountStrategy
 		materialize bool
 	}{
-		{CountScan, true}, {CountTIDList, true}, {CountBitmap, true}, {CountAuto, true}, {CountScan, false},
+		{CountScan, true}, {CountBitmap, true}, {CountAuto, true}, {CountScan, false},
 	}
 	for trial := 0; trial < trials; trial++ {
 		db, tree := randomDataset(rng)

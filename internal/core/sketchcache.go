@@ -1,20 +1,23 @@
 package core
 
 import (
+	"fmt"
+
 	"github.com/flipper-mining/flipper/internal/sketch"
+	"github.com/flipper-mining/flipper/internal/txdb"
 )
 
 // Sketch plumbing for anchored search: per-item bottom-k signatures are
-// dataset state (they depend only on the tid lists of a representation), so
-// they cache in dataState next to the tid lists themselves, keyed by
-// signature size. When the engine has a sketch path, unsharded builds
+// dataset state (they depend only on which transactions of a representation
+// hold each item), so they cache in dataState, keyed by signature size. When the engine has a sketch path, unsharded builds
 // persist to disk and later engines over the same dataset warm-start from
 // the file — a fingerprint over the per-level single supports guards
 // against trusting a file built from different data.
 
 // sketchSet returns (building, loading, or reusing) the sketch set for the
-// run's signature size.
-func (m *miner) sketchSet() *sketch.Set {
+// run's signature size. A failed or cancelled build is returned, never
+// cached.
+func (m *miner) sketchSet() (*sketch.Set, error) {
 	k := m.cfg.SketchK
 	if k <= 0 {
 		k = sketch.DefaultK
@@ -24,7 +27,7 @@ func (m *miner) sketchSet() *sketch.Set {
 	s := ds.sketches[k]
 	ds.mu.Unlock()
 	if s != nil {
-		return s
+		return s, nil
 	}
 
 	fp := m.sketchFingerprint()
@@ -35,14 +38,17 @@ func (m *miner) sketchSet() *sketch.Set {
 	if path != "" && !m.ds.sharded() {
 		if loaded, err := sketch.LoadFile(path); err == nil &&
 			loaded.K == k && loaded.Fingerprint == fp && len(loaded.Levels) == m.height+1 {
-			return ds.storeSketches(k, loaded)
+			return ds.storeSketches(k, loaded), nil
 		}
 	}
-	s = m.buildSketchSet(k, fp)
+	s, err := m.buildSketchSet(k, fp)
+	if err != nil {
+		return nil, err
+	}
 	if path != "" && !m.ds.sharded() {
 		_ = s.SaveFile(path) // best-effort warm-start for the next engine
 	}
-	return ds.storeSketches(k, s)
+	return ds.storeSketches(k, s), nil
 }
 
 // storeSketches publishes a built sketch set into the dataset cache; when a
@@ -60,26 +66,32 @@ func (ds *dataState) storeSketches(k int, s *sketch.Set) *sketch.Set {
 	return s
 }
 
-// buildSketchSet runs every level's tid lists through a bottom-k builder.
-// Keys fold the shard index into the high half so transaction IDs stay
-// distinct across shards; an unsharded dataset's keys are therefore its raw
-// transaction IDs.
-func (m *miner) buildSketchSet(k int, fp uint64) *sketch.Set {
+// buildSketchSet re-materializes every shard's level views for the length
+// of the build and observes each item of each generalized transaction in a
+// bottom-k builder per level. Keys fold the shard index into the high half
+// so transaction IDs stay distinct across shards; an unsharded dataset's
+// keys are therefore its raw transaction IDs. The pass re-reads the source
+// and observes the run's context, so it can fail.
+func (m *miner) buildSketchSet(k int, fp uint64) (*sketch.Set, error) {
+	shardViews, err := txdb.MaterializeShards(m.ctx, m.ds.shards, m.tax, boundWorkers(&m.cfg, len(m.ds.shards)))
+	if err != nil {
+		return nil, fmt.Errorf("core: building anchored sketches: %w", err)
+	}
 	H := m.height
 	set := &sketch.Set{K: k, Fingerprint: fp, Levels: make([]*sketch.Level, H+1)}
 	for h := 1; h <= H; h++ {
 		b := sketch.NewBuilder(k)
-		for s, l := range m.tidLists(h) {
+		for s, views := range shardViews {
 			base := uint64(s) << 32
-			for id, tids := range l.tid {
-				for _, tid := range tids {
-					b.Observe(id, base|uint64(uint32(tid)))
+			for ti, tx := range views[h].Tx {
+				for _, id := range tx {
+					b.Observe(id, base|uint64(ti))
 				}
 			}
 		}
 		set.Levels[h] = b.Finish()
 	}
-	return set
+	return set, nil
 }
 
 // sketchFingerprint identifies the dataset a sketch set was built from: any

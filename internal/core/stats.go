@@ -52,10 +52,12 @@ type Stats struct {
 	TPGBreaks         int64
 	SIBPExcludedItems int64
 
-	// BitmapBuilds counts per-level bit-vector index constructions (at most
-	// one per level per run — indexes are cached on the miner), and
-	// BitmapWordOps the 64-bit AND/load operations spent answering bitmap
-	// support queries.
+	// BitmapBuilds counts the bit-vector index builds the bitmap counting
+	// backend charges a run — one per shard the first time a level is
+	// bitmap-counted, whether or not the engine already cached the index —
+	// and BitmapWordOps the 64-bit AND/load operations spent counting cells
+	// on it. Both are counting-backend counters: anchored exact fallbacks
+	// share the index but charge neither.
 	BitmapBuilds  int64
 	BitmapWordOps int64
 
@@ -75,8 +77,8 @@ type Stats struct {
 	// Anchored-search counters (zero outside anchored runs). SketchProbes is
 	// how many candidates were bracketed by the per-item sketches,
 	// SketchPruned how many of those the bounds eliminated without an exact
-	// count, and ExactFallbacks how many survived to exact tid-list counting
-	// — the work the sketches failed to save.
+	// count, and ExactFallbacks how many survived to an exact count on the
+	// level's bitmap index — the work the sketches failed to save.
 	SketchProbes   int64
 	SketchPruned   int64
 	ExactFallbacks int64

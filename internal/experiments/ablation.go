@@ -45,7 +45,6 @@ func Ablation(s Scale) (*Table, error) {
 		mutate func(*core.Config)
 	}{
 		{"count=scan", func(c *core.Config) { c.Strategy = core.CountScan }},
-		{"count=tidlist", func(c *core.Config) { c.Strategy = core.CountTIDList }},
 		{"count=bitmap", func(c *core.Config) { c.Strategy = core.CountBitmap }},
 		{"count=auto", func(c *core.Config) { c.Strategy = core.CountAuto }},
 		{"workers=1", func(c *core.Config) { c.Parallelism = 1 }},

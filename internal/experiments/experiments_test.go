@@ -152,13 +152,13 @@ func TestCountingShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 3 widths × 4 strategies.
-	if len(tbl.Rows) != 12 {
-		t.Fatalf("counting rows = %d, want 12", len(tbl.Rows))
+	// 3 widths × 3 strategies.
+	if len(tbl.Rows) != 9 {
+		t.Fatalf("counting rows = %d, want 9", len(tbl.Rows))
 	}
 	for _, row := range tbl.Rows {
 		switch row[1] {
-		case "scan", "tidlist":
+		case "scan":
 			if row[4] != "0" {
 				t.Errorf("width %s strategy %s reported %s bitmap builds, want 0", row[0], row[1], row[4])
 			}
@@ -170,10 +170,10 @@ func TestCountingShape(t *testing.T) {
 	}
 	// Pattern counts must agree across strategies within a width.
 	for w := 0; w < 3; w++ {
-		base := tbl.Rows[4*w][6]
-		for i := 1; i < 4; i++ {
-			if got := tbl.Rows[4*w+i][6]; got != base {
-				t.Errorf("width group %d: %s found %s patterns, scan found %s", w, tbl.Rows[4*w+i][1], got, base)
+		base := tbl.Rows[3*w][6]
+		for i := 1; i < 3; i++ {
+			if got := tbl.Rows[3*w+i][6]; got != base {
+				t.Errorf("width group %d: %s found %s patterns, scan found %s", w, tbl.Rows[3*w+i][1], got, base)
 			}
 		}
 	}
@@ -184,13 +184,13 @@ func TestShardingShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 3 strategies × 4 shard counts.
-	if len(tbl.Rows) != 12 {
-		t.Fatalf("sharding rows = %d, want 12", len(tbl.Rows))
+	// 2 strategies × 4 shard counts.
+	if len(tbl.Rows) != 8 {
+		t.Fatalf("sharding rows = %d, want 8", len(tbl.Rows))
 	}
 	// Pattern counts must agree across shard counts within a strategy —
 	// sharding can never change the mined output.
-	for s := 0; s < 3; s++ {
+	for s := 0; s < 2; s++ {
 		base := tbl.Rows[4*s][5]
 		for i := 1; i < 4; i++ {
 			row := tbl.Rows[4*s+i]

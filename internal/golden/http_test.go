@@ -224,6 +224,7 @@ func TestHTTPErrorEnvelopes(t *testing.T) {
 		{"malformed_body", "POST", "/v1/jobs", `{"dataset": "toy-paper",`},
 		{"unknown_config_field", "POST", "/v1/jobs", `{"dataset": "toy-paper", "config": {"shards": 2}}`},
 		{"invalid_config", "POST", "/v1/jobs", `{"dataset": "toy-paper", "config": {"gamma": 1.5}}`},
+		{"unknown_strategy", "POST", "/v1/jobs", `{"dataset": "toy-paper", "config": {"strategy": "tidlist"}}`},
 		{"bad_kind", "POST", "/v1/jobs", `{"dataset": "toy-paper", "kind": "train"}`},
 		{"mine_with_epsilons", "POST", "/v1/jobs", `{"dataset": "toy-paper", "epsilons": [0.1]}`},
 		{"sweep_no_epsilons", "POST", "/v1/jobs", `{"dataset": "toy-paper", "kind": "sweep"}`},

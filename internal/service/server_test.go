@@ -162,10 +162,15 @@ func TestCacheKeyIgnoresFieldOrderAndExecutionKnobs(t *testing.T) {
 // TestStrategyIsASemanticCacheField exercises the counting strategies over
 // the wire: every JSON name is accepted, each strategy keys its own cache
 // slot (CanonicalKey covers Strategy), and all strategies mine the toy's
-// single flipping pattern.
+// single flipping pattern. The retired tid-list backend's name is rejected
+// as an unknown strategy.
 func TestStrategyIsASemanticCacheField(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
-	for _, strategy := range []string{"scan", "tidlist", "bitmap", "auto"} {
+	retired := `{"dataset": "toy", "config": {"gamma": 0.6, "epsilon": 0.35, "min_sup": [0.1, 0.1, 0.1], "strategy": "tidlist"}}`
+	if status, _ := submit(t, ts, retired); status != http.StatusBadRequest {
+		t.Errorf("strategy \"tidlist\": status %d, want %d", status, http.StatusBadRequest)
+	}
+	for _, strategy := range []string{"scan", "bitmap", "auto"} {
 		body := `{"dataset": "toy", "config": {"gamma": 0.6, "epsilon": 0.35, "min_sup": [0.1, 0.1, 0.1], "strategy": "` + strategy + `"}}`
 		status, v := submit(t, ts, body)
 		if status == http.StatusOK && v.CacheHit {
